@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .layers import Conv1DSpec, DenseSpec, DropoutSpec, LayerSpec, LSTMSpec, MaxPool1DSpec
+from .layers import LAYER_KINDS, LayerSpec
 from .network import AdamState, Network
 
 CHECKPOINT_MAGIC = b"SSEVCKPT"
@@ -26,32 +28,26 @@ class CheckpointError(ValueError):
 
 
 def spec_to_dict(spec: LayerSpec) -> dict:
-    if isinstance(spec, Conv1DSpec):
-        return {"type": "conv1d", "filters": spec.filters, "kernel": spec.kernel}
-    if isinstance(spec, MaxPool1DSpec):
-        return {"type": "maxpool1d", "pool": spec.pool}
-    if isinstance(spec, DropoutSpec):
-        return {"type": "dropout", "rate": spec.rate}
-    if isinstance(spec, LSTMSpec):
-        return {"type": "lstm", "units": spec.units}
-    if isinstance(spec, DenseSpec):
-        return {"type": "dense", "units": spec.units, "activation": spec.activation}
-    raise CheckpointError(f"unknown layer spec {spec!r}")
+    return {"type": spec.kind, **asdict(spec)}
 
 
 def spec_from_dict(d: dict) -> LayerSpec:
     kind = d.get("type")
-    if kind == "conv1d":
-        return Conv1DSpec(d["filters"], d["kernel"])
-    if kind == "maxpool1d":
-        return MaxPool1DSpec(d["pool"])
-    if kind == "dropout":
-        return DropoutSpec(d["rate"])
-    if kind == "lstm":
-        return LSTMSpec(d["units"])
-    if kind == "dense":
-        return DenseSpec(d["units"], d["activation"])
-    raise CheckpointError(f"unknown layer type {kind!r}")
+    cls = LAYER_KINDS.get(kind)
+    if cls is None:
+        raise CheckpointError(f"unknown layer type {kind!r}")
+    values = {k: v for k, v in d.items() if k != "type"}
+    types = {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
+    if sorted(values) != sorted(types):
+        raise CheckpointError(f"{kind} layer has fields {sorted(values)}, expected {sorted(types)}")
+    for name, expected in types.items():
+        allowed = (int, float) if expected is float else expected  # DropoutSpec(0) saves rate 0
+        if isinstance(values[name], bool) or not isinstance(values[name], allowed):
+            raise CheckpointError(f"{kind} layer field {name!r} is not a {expected.__name__}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise CheckpointError(f"{kind} layer: {exc}") from None
 
 
 def _write_block(fh, payload: bytes) -> None:
@@ -96,6 +92,26 @@ def _tensor_items(params: list[dict[str, np.ndarray]]):
     for idx, layer in enumerate(params):
         for key in sorted(layer):
             yield f"{idx}/{key}", layer[key]
+
+
+def _read_tensors(reader: _Reader, prefix: str, expected: dict, into: list[dict]) -> None:
+    """Read one tensor per expected name (each under `prefix`) into `into`,
+    refusing unknown, repeated and misshapen tensors."""
+    seen = set()
+    for _ in range(len(expected)):
+        full_name, data = reader.tensor()
+        name = full_name[len(prefix) :] if full_name.startswith(prefix) else None
+        if name not in expected:
+            raise CheckpointError(f"{reader.path}: unexpected tensor {full_name!r}")
+        if name in seen:
+            raise CheckpointError(f"{reader.path}: duplicate tensor {full_name!r}")
+        if data.shape != expected[name]:
+            raise CheckpointError(
+                f"{reader.path}: tensor {full_name!r} has shape {data.shape}, expected {expected[name]}"
+            )
+        seen.add(name)
+        idx, key = name.split("/")
+        into[int(idx)][key] = data.copy()
 
 
 def save_checkpoint(
@@ -162,20 +178,11 @@ def load_checkpoint(
         )
     specs = [spec_from_dict(d) for d in arch["layers"]]
     network = Network(arch["input_length"], specs, seed=arch["seed"])
-    expected = {name: t for name, t in _tensor_items(network.params)}
+    expected = {name: t.shape for name, t in _tensor_items(network.params)}
     (n_tensors,) = struct.unpack("<I", reader.take(4))
     if n_tensors != len(expected):
         raise CheckpointError(f"{path}: expected {len(expected)} tensors, found {n_tensors}")
-    for _ in range(n_tensors):
-        name, data = reader.tensor()
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-        if expected[name].shape != data.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {data.shape}, expected {expected[name].shape}"
-            )
-        idx, key = name.split("/")
-        network.params[int(idx)][key] = data.copy()
+    _read_tensors(reader, "", expected, network.params)
 
     (has_optimizer,) = struct.unpack("<B", reader.take(1))
     optimizer = None
@@ -190,13 +197,8 @@ def load_checkpoint(
             m=network.zero_like_params(),
             v=network.zero_like_params(),
         )
-        for moments, prefix in ((optimizer.m, "m/"), (optimizer.v, "v/")):
-            for _ in range(n_tensors):
-                name, data = reader.tensor()
-                if not name.startswith(prefix):
-                    raise CheckpointError(f"{path}: unexpected optimizer tensor {name!r}")
-                idx, key = name[len(prefix) :].split("/")
-                moments[int(idx)][key] = data.copy()
+        _read_tensors(reader, "m/", expected, optimizer.m)
+        _read_tensors(reader, "v/", expected, optimizer.v)
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")
     return network, optimizer, registry_hash

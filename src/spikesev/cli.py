@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import dataset, evaluation, ingest, training
 from .config import ConfigError, RunConfig, load_config
 from .gradcheck import run_gradient_checks
-from .network import Network, build_architecture
+from .network import Architecture, Network
 from .scales import RegistryError, ScalesRegistry, default_registry, load_registry
 
 EXIT_OK = 0
@@ -98,15 +99,8 @@ def _train_config(cfg: RunConfig) -> training.TrainConfig:
     )
 
 
-def _arch_from_config(cfg: RunConfig):
-    return build_architecture(
-        conv_filters=cfg.conv_filters,
-        kernel=cfg.kernel_size,
-        pool=cfg.pool_size,
-        dropout_rate=cfg.dropout_rate,
-        lstm_units=cfg.lstm_units,
-        dense_units=cfg.dense_units,
-    )
+def _arch_from_config(cfg: RunConfig) -> Architecture:
+    return Architecture(**{f.name: getattr(cfg, f.name) for f in fields(Architecture)})
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +216,7 @@ def cmd_train(cfg: RunConfig, matrix_path: str, val_matrix: str | None) -> int:
     validation = None
     if val_matrix:
         validation = dataset.to_arrays(_read_vectors(val_matrix))
-    specs = _arch_from_config(cfg)
-    net = Network(x.shape[1], specs, seed=cfg.train_seed)
+    net = Network(x.shape[1], _arch_from_config(cfg).specs(), seed=cfg.train_seed)
     logs, optimizer = training.train(net, x, y, _train_config(cfg), validation)
     ckpt.save_checkpoint(net, wd / "model.ckpt", registry.content_hash, optimizer)
     training.write_epoch_logs(logs, wd / "epochs.tsv")
@@ -290,12 +283,13 @@ def cmd_search(cfg: RunConfig, matrix_path: str, include_default: bool) -> int:
         if cfg.search_space
         else training.default_search_space()
     )
-    fixed = [dict(training.STOCK_HYPERPARAMS)] if include_default else None
+    fixed = [{}] if include_default else None  # nothing sampled: the configured model as is
     trials = training.random_search(
         space,
         cfg.trials,
         vectors,
         _train_config(cfg),
+        _arch_from_config(cfg),
         cv_k=cfg.cv_k,
         smote_k=cfg.smote_k,
         fixed_trials=fixed,
@@ -395,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int, dest="train_seed")
     p.add_argument("--include-default", action="store_true",
-                   help="score the stock architecture as a fixed first trial")
+                   help="score the configured architecture as a fixed first trial")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     _add_common(p)

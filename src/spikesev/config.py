@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .network import Architecture
+from .training import TrainConfig
+
 
 class ConfigError(ValueError):
     pass
@@ -50,20 +53,20 @@ class RunConfig:
     # balancing
     smote_k: int = 5
     smote_seed: int = 0
-    # training
-    epochs: int = 100
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    lambda_l2: float = 0.001
-    train_seed: int = 0
-    shuffle: bool = True
-    # architecture
-    conv_filters: tuple[int, ...] = (128, 64, 64, 24)
-    kernel_size: int = 4
-    pool_size: int = 2
-    dropout_rate: float = 0.166
-    lstm_units: int = 64
-    dense_units: tuple[int, ...] = (64, 32, 16)
+    # training; stock values from TrainConfig
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    lambda_l2: float = TrainConfig.lambda_l2
+    train_seed: int = TrainConfig.seed
+    shuffle: bool = TrainConfig.shuffle
+    # architecture; stock values from Architecture
+    conv_filters: tuple[int, ...] = Architecture.conv_filters
+    kernel_size: int = Architecture.kernel_size
+    pool_size: int = Architecture.pool_size
+    dropout_rate: float = Architecture.dropout_rate
+    lstm_units: int = Architecture.lstm_units
+    dense_units: tuple[int, ...] = Architecture.dense_units
     # evaluation / prediction
     threshold: float = 0.5
     # search

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Conv1DSpec, DenseSpec, DropoutSpec, LSTMSpec, MaxPool1DSpec
-from .network import Network, batch_bce_l2
+from .network import Architecture, Network, batch_bce_l2
+from .training import TrainConfig
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -22,7 +23,7 @@ def tiny_model(seed: int = 2024, input_length: int = 32) -> Network:
     specs = [
         Conv1DSpec(2, 4),
         MaxPool1DSpec(2),
-        DropoutSpec(0.166),
+        DropoutSpec(Architecture.dropout_rate),
         LSTMSpec(3),
         DenseSpec(4, "relu"),
         DenseSpec(1, "sigmoid"),
@@ -64,7 +65,7 @@ def run_gradient_checks(
     input_length: int = 32,
     h: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
-    lam: float = 1e-3,
+    lam: float = TrainConfig.lambda_l2,
 ) -> tuple[list[GradCheckResult], bool]:
     rng = np.random.default_rng(seed)
     net = tiny_model(seed=seed, input_length=input_length)

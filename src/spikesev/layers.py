@@ -1,13 +1,17 @@
 """Layer math: forward passes, cached intermediates and exact backward passes.
 
-All functions are pure; parameters and gradients travel as plain numpy
-arrays. Shapes follow the (batch, length, channels) convention for sequence
-layers and (batch, features) after the recurrent layer.
+The kernels are pure functions; parameters and gradients travel as plain
+numpy arrays. Shapes follow the (batch, length, channels) convention for
+sequence layers and (batch, features) after the recurrent layer.
+
+Each layer kind is one spec class below (the contract is in network.py);
+`LAYER_KINDS` maps each checkpoint tag to its class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,8 +19,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 
+class ShapeError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Conv1DSpec:
+    kind: ClassVar[str] = "conv1d"
     filters: int
     kernel: int
 
@@ -24,36 +33,110 @@ class Conv1DSpec:
         if self.filters < 1 or self.kernel < 1:
             raise ValueError("conv filters and kernel must be >= 1")
 
+    def out_shape(self, in_shape):
+        if len(in_shape) != 2:
+            raise ShapeError("convolution needs sequence input")
+        out_len = in_shape[0] - self.kernel + 1
+        if out_len < 1:
+            raise ShapeError(f"output length {out_len} < 1")
+        return (out_len, self.filters)
+
+    def init(self, in_shape, rng, dtype) -> dict:
+        in_channels = in_shape[-1]
+        limit = np.sqrt(1.0 / (self.kernel * in_channels))
+        w = rng.uniform(-limit, limit, (self.kernel, in_channels, self.filters))
+        return {"w": w.astype(dtype), "b": np.zeros(self.filters, dtype=dtype)}
+
+    def forward(self, x, params, mask_source):
+        return conv1d_forward(x, params["w"], params["b"])
+
+    def backward(self, dy, cache, params):
+        dx, dw, db = conv1d_backward(dy, cache, params["w"])
+        return dx, {"w": dw, "b": db}
+
 
 @dataclass(frozen=True)
 class MaxPool1DSpec:
+    kind: ClassVar[str] = "maxpool1d"
     pool: int
 
     def __post_init__(self):
         if self.pool < 1:
             raise ValueError("pool size must be >= 1")
 
+    def out_shape(self, in_shape):
+        if len(in_shape) != 2:
+            raise ShapeError("pooling needs sequence input")
+        out_len = in_shape[0] // self.pool
+        if out_len < 1:
+            raise ShapeError(f"output length {out_len} < 1")
+        return (out_len, in_shape[1])
+
+    def init(self, in_shape, rng, dtype) -> dict:
+        return {}
+
+    def forward(self, x, params, mask_source):
+        return maxpool1d_forward(x, self.pool)
+
+    def backward(self, dy, cache, params):
+        return maxpool1d_backward(dy, cache, self.pool), {}
+
 
 @dataclass(frozen=True)
 class DropoutSpec:
+    kind: ClassVar[str] = "dropout"
     rate: float
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
 
+    def out_shape(self, in_shape):
+        return in_shape
+
+    def init(self, in_shape, rng, dtype) -> dict:
+        return {}
+
+    def forward(self, x, params, mask_source):
+        """Identity (cache None) at inference or at rate 0; otherwise draws
+        its mask from `mask_source(shape, rate)` and caches it."""
+        if mask_source is None or self.rate == 0.0:
+            return x, None
+        mask = mask_source(x.shape, self.rate)
+        return dropout_forward(x, self.rate, mask), mask
+
+    def backward(self, dy, cache, params):
+        return (dy if cache is None else dropout_backward(dy, self.rate, cache)), {}
+
 
 @dataclass(frozen=True)
 class LSTMSpec:
+    kind: ClassVar[str] = "lstm"
     units: int
 
     def __post_init__(self):
         if self.units < 1:
             raise ValueError("lstm units must be >= 1")
 
+    def out_shape(self, in_shape):
+        if len(in_shape) != 2:
+            raise ShapeError("lstm needs sequence input")
+        return (self.units,)
+
+    def init(self, in_shape, rng, dtype) -> dict:
+        return init_lstm(self, in_shape[-1], rng, dtype)
+
+    def forward(self, x, params, mask_source):
+        return lstm_forward(x, params["w"], params["u"], params["b"])
+
+    def backward(self, dy, cache, params):
+        dx, dw, du, db = lstm_backward(dy, cache, params["w"], params["u"])
+        return dx, {"w": dw, "u": du, "b": db}
+
 
 @dataclass(frozen=True)
 class DenseSpec:
+    kind: ClassVar[str] = "dense"
     units: int
     activation: str = "linear"
 
@@ -63,8 +146,28 @@ class DenseSpec:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
+    def out_shape(self, in_shape):
+        if len(in_shape) != 1:
+            raise ShapeError("dense needs flat feature input")
+        return (self.units,)
+
+    def init(self, in_shape, rng, dtype) -> dict:
+        in_features = in_shape[0]
+        limit = np.sqrt(1.0 / in_features)
+        w = rng.uniform(-limit, limit, (in_features, self.units))
+        return {"w": w.astype(dtype), "b": np.zeros(self.units, dtype=dtype)}
+
+    def forward(self, x, params, mask_source):
+        return dense_forward(x, params["w"], params["b"], self.activation)
+
+    def backward(self, dy, cache, params):
+        dx, dw, db = dense_backward(dy, cache, params["w"], self.activation)
+        return dx, {"w": dw, "b": db}
+
 
 LayerSpec = Conv1DSpec | MaxPool1DSpec | DropoutSpec | LSTMSpec | DenseSpec
+
+LAYER_KINDS = {cls.kind: cls for cls in (Conv1DSpec, MaxPool1DSpec, DropoutSpec, LSTMSpec, DenseSpec)}
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -235,14 +338,8 @@ def dense_backward(dy: np.ndarray, cache, w: np.ndarray, activation: str):
 
 
 # ---------------------------------------------------------------------------
-# Parameter initialization (fan-in-scaled uniform kernels, zero biases,
+# LSTM parameter initialization (fan-in-scaled uniform kernels, zero biases,
 # forget-gate bias offset +1)
-
-def init_conv(spec: Conv1DSpec, in_channels: int, rng: np.random.Generator, dtype) -> dict:
-    limit = np.sqrt(1.0 / (spec.kernel * in_channels))
-    w = rng.uniform(-limit, limit, (spec.kernel, in_channels, spec.filters))
-    return {"w": w.astype(dtype), "b": np.zeros(spec.filters, dtype=dtype)}
-
 
 def init_lstm(spec: LSTMSpec, in_channels: int, rng: np.random.Generator, dtype) -> dict:
     limit = np.sqrt(1.0 / (in_channels + spec.units))
@@ -251,9 +348,3 @@ def init_lstm(spec: LSTMSpec, in_channels: int, rng: np.random.Generator, dtype)
     b = np.zeros(4 * spec.units, dtype=dtype)
     b[spec.units : 2 * spec.units] = 1.0
     return {"w": w.astype(dtype), "u": u.astype(dtype), "b": b}
-
-
-def init_dense(spec: DenseSpec, in_features: int, rng: np.random.Generator, dtype) -> dict:
-    limit = np.sqrt(1.0 / in_features)
-    w = rng.uniform(-limit, limit, (in_features, spec.units))
-    return {"w": w.astype(dtype), "b": np.zeros(spec.units, dtype=dtype)}

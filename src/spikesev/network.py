@@ -6,6 +6,19 @@ The default architecture is four convolution/pool/dropout stages (128, 64,
 64, 24 filters, kernel 4, pool 2, rate 0.166), a 64-unit LSTM, then dense
 layers 64 (relu, followed by dropout), 32, 16 and a sigmoid output unit. At
 input length 16,730 it has exactly 85,657 trainable parameters.
+
+Every layer kind is one spec class in `layers.py`, registered in
+`LAYER_KINDS`; this module only loops over specs. Shapes are (length,
+channels) up to the LSTM and (features,) after it; the input is
+(input_length, 1). A spec class provides:
+
+- `kind`: class attribute, the layer's tag in checkpoints;
+- `out_shape(in_shape)`: the output shape, or raises `ShapeError`;
+- `init(in_shape, rng, dtype)`: a dict of parameter tensors (empty if the
+  layer has none). Layers draw from one shared `rng` in stack order;
+- `forward(x, params, mask_source)` -> `(y, cache)`. `mask_source` is None
+  at inference, else a callable `(shape, rate) -> dropout mask`;
+- `backward(dy, cache, params)` -> `(dx, grads)`, `grads` keyed like `params`.
 """
 
 from __future__ import annotations
@@ -21,136 +34,64 @@ from .layers import (
     LayerSpec,
     LSTMSpec,
     MaxPool1DSpec,
-    conv1d_backward,
-    conv1d_forward,
-    dense_backward,
-    dense_forward,
-    dropout_backward,
-    dropout_forward,
-    init_conv,
-    init_dense,
-    init_lstm,
-    lstm_backward,
-    lstm_forward,
-    maxpool1d_backward,
-    maxpool1d_forward,
+    ShapeError,
     sample_dropout_mask,
 )
 
 BCE_EPSILON = 1e-7
 
-DEFAULT_INPUT_LENGTH = 16730
 
+@dataclass(frozen=True)
+class Architecture:
+    """Hyperparameters of the CNN-LSTM template. The defaults are the stock
+    architecture; the run config and the search take theirs from here."""
 
-class ShapeError(ValueError):
-    pass
+    conv_filters: tuple[int, ...] = (128, 64, 64, 24)
+    kernel_size: int = 4
+    pool_size: int = 2
+    dropout_rate: float = 0.166
+    lstm_units: int = 64
+    dense_units: tuple[int, ...] = (64, 32, 16)
 
-
-def build_architecture(
-    conv_filters=(128, 64, 64, 24),
-    kernel: int = 4,
-    pool: int = 2,
-    dropout_rate: float = 0.166,
-    lstm_units: int = 64,
-    dense_units=(64, 32, 16),
-) -> list[LayerSpec]:
-    """Conv/pool/dropout stages, an LSTM, dense stack (dropout after the
-    first dense layer), sigmoid output unit."""
-    specs: list[LayerSpec] = []
-    for filters in conv_filters:
-        specs.append(Conv1DSpec(filters, kernel))
-        specs.append(MaxPool1DSpec(pool))
-        specs.append(DropoutSpec(dropout_rate))
-    specs.append(LSTMSpec(lstm_units))
-    for j, units in enumerate(dense_units):
-        specs.append(DenseSpec(units, "relu"))
-        if j == 0:
-            specs.append(DropoutSpec(dropout_rate))
-    specs.append(DenseSpec(1, "sigmoid"))
-    return specs
+    def specs(self) -> list[LayerSpec]:
+        """Conv/pool/dropout stages, an LSTM, dense stack (dropout after the
+        first dense layer), sigmoid output unit."""
+        specs: list[LayerSpec] = []
+        for filters in self.conv_filters:
+            specs.append(Conv1DSpec(filters, self.kernel_size))
+            specs.append(MaxPool1DSpec(self.pool_size))
+            specs.append(DropoutSpec(self.dropout_rate))
+        specs.append(LSTMSpec(self.lstm_units))
+        for j, units in enumerate(self.dense_units):
+            specs.append(DenseSpec(units, "relu"))
+            if j == 0:
+                specs.append(DropoutSpec(self.dropout_rate))
+        specs.append(DenseSpec(1, "sigmoid"))
+        return specs
 
 
 def default_architecture() -> list[LayerSpec]:
-    return build_architecture()
+    return Architecture().specs()
 
 
 def infer_shapes(specs: list[LayerSpec], input_length: int) -> list[tuple[int, ...]]:
     """Symbolic pass over the stack; one output shape per layer.
 
-    Sequence layers report (length, channels); everything after the LSTM
-    reports (features,). Raises ShapeError naming the first offending layer.
+    Raises ShapeError naming the first offending layer.
     """
     shapes: list[tuple[int, ...]] = []
-    seq: tuple[int, int] | None = (input_length, 1)
-    vec: int | None = None
+    shape: tuple[int, ...] = (input_length, 1)
     for idx, spec in enumerate(specs):
-        name = f"layer {idx} ({type(spec).__name__})"
-        if isinstance(spec, Conv1DSpec):
-            if seq is None:
-                raise ShapeError(f"{name}: convolution needs sequence input")
-            out_len = seq[0] - spec.kernel + 1
-            if out_len < 1:
-                raise ShapeError(f"{name}: output length {out_len} < 1")
-            seq = (out_len, spec.filters)
-            shapes.append(seq)
-        elif isinstance(spec, MaxPool1DSpec):
-            if seq is None:
-                raise ShapeError(f"{name}: pooling needs sequence input")
-            out_len = seq[0] // spec.pool
-            if out_len < 1:
-                raise ShapeError(f"{name}: output length {out_len} < 1")
-            seq = (out_len, seq[1])
-            shapes.append(seq)
-        elif isinstance(spec, DropoutSpec):
-            shapes.append(seq if seq is not None else (vec,))
-        elif isinstance(spec, LSTMSpec):
-            if seq is None:
-                raise ShapeError(f"{name}: lstm needs sequence input")
-            seq, vec = None, spec.units
-            shapes.append((vec,))
-        elif isinstance(spec, DenseSpec):
-            if vec is None:
-                raise ShapeError(f"{name}: dense needs flat feature input")
-            vec = spec.units
-            shapes.append((vec,))
-        else:
-            raise ShapeError(f"{name}: unknown layer spec")
+        try:
+            shape = spec.out_shape(shape)
+        except ShapeError as exc:
+            raise ShapeError(f"layer {idx} ({type(spec).__name__}): {exc}") from None
+        shapes.append(shape)
     return shapes
 
 
-def _param_shapes(specs: list[LayerSpec], input_length: int) -> list[dict[str, tuple[int, ...]]]:
-    shapes = infer_shapes(specs, input_length)
-    out: list[dict[str, tuple[int, ...]]] = []
-    seq_channels = 1
-    features = None
-    for spec, shape in zip(specs, shapes):
-        if isinstance(spec, Conv1DSpec):
-            out.append({"w": (spec.kernel, seq_channels, spec.filters), "b": (spec.filters,)})
-            seq_channels = spec.filters
-        elif isinstance(spec, LSTMSpec):
-            out.append(
-                {
-                    "w": (seq_channels, 4 * spec.units),
-                    "u": (spec.units, 4 * spec.units),
-                    "b": (4 * spec.units,),
-                }
-            )
-            features = spec.units
-        elif isinstance(spec, DenseSpec):
-            out.append({"w": (features, spec.units), "b": (spec.units,)})
-            features = spec.units
-        else:
-            out.append({})
-        if len(shape) == 2:
-            seq_channels = shape[1]
-    return out
-
-
 def per_layer_param_counts(specs: list[LayerSpec], input_length: int) -> list[int]:
-    return [
-        sum(int(np.prod(s)) for s in layer.values())
-        for layer in _param_shapes(specs, input_length)
-    ]
+    return [sum(t.size for t in layer.values()) for layer in Network(input_length, specs).params]
 
 
 def param_count(specs: list[LayerSpec], input_length: int) -> int:
@@ -171,26 +112,14 @@ class Network:
         self.specs = list(specs) if specs is not None else default_architecture()
         self.seed = seed
         self.dtype = dtype
-        infer_shapes(self.specs, input_length)  # validate before allocating
+        in_shapes = [(input_length, 1), *infer_shapes(self.specs, input_length)[:-1]]
         rng = np.random.default_rng(seed)
-        self.params: list[dict[str, np.ndarray]] = []
-        seq_channels = 1
-        features = None
-        for spec in self.specs:
-            if isinstance(spec, Conv1DSpec):
-                self.params.append(init_conv(spec, seq_channels, rng, dtype))
-                seq_channels = spec.filters
-            elif isinstance(spec, LSTMSpec):
-                self.params.append(init_lstm(spec, seq_channels, rng, dtype))
-                features = spec.units
-            elif isinstance(spec, DenseSpec):
-                self.params.append(init_dense(spec, features, rng, dtype))
-                features = spec.units
-            else:
-                self.params.append({})
+        self.params: list[dict[str, np.ndarray]] = [
+            spec.init(shape, rng, dtype) for spec, shape in zip(self.specs, in_shapes)
+        ]
 
     def param_count(self) -> int:
-        return param_count(self.specs, self.input_length)
+        return sum(t.size for layer in self.params for t in layer.values())
 
     def zero_like_params(self) -> list[dict[str, np.ndarray]]:
         return [{k: np.zeros_like(v) for k, v in layer.items()} for layer in self.params]
@@ -208,41 +137,26 @@ class Network:
         """Run the stack on a (batch, input_length) matrix.
 
         In train mode dropout masks are taken from `masks` when given,
-        otherwise sampled from `rng`; caches hold everything the backward
-        pass needs (conv inputs, pool argmaxes, gate activations, masks).
+        otherwise sampled from `rng`. With `want_caches` it also returns the
+        caches the backward pass needs (conv inputs, pool argmaxes, gate
+        activations, masks); without, no layer's cache outlives the layer.
         """
         if x.ndim != 2 or x.shape[1] != self.input_length:
             raise ValueError(f"expected input (batch, {self.input_length}), got {x.shape}")
-        cur = x.astype(self.dtype, copy=False)
-        if not isinstance(self.specs[0], DenseSpec):
-            cur = cur[:, :, None]
+        remaining = list(masks or ())
+
+        def mask_source(shape, rate):
+            if masks is not None:
+                return remaining.pop(0)
+            if rng is None:
+                raise ValueError("train-mode dropout needs an rng or explicit masks")
+            return sample_dropout_mask(rng, shape, rate)
+
+        cur = x.astype(self.dtype, copy=False)[:, :, None]
         caches = []
-        mask_idx = 0
         for spec, params in zip(self.specs, self.params):
-            if isinstance(spec, Conv1DSpec):
-                cur, cache = conv1d_forward(cur, params["w"], params["b"])
-                caches.append(cache)
-            elif isinstance(spec, MaxPool1DSpec):
-                cur, cache = maxpool1d_forward(cur, spec.pool)
-                caches.append(cache)
-            elif isinstance(spec, DropoutSpec):
-                if train and spec.rate > 0.0:
-                    if masks is not None:
-                        mask = masks[mask_idx]
-                    elif rng is not None:
-                        mask = sample_dropout_mask(rng, cur.shape, spec.rate)
-                    else:
-                        raise ValueError("train-mode dropout needs an rng or explicit masks")
-                    mask_idx += 1
-                    cur = dropout_forward(cur, spec.rate, mask)
-                    caches.append(mask)
-                else:
-                    caches.append(None)
-            elif isinstance(spec, LSTMSpec):
-                cur, cache = lstm_forward(cur, params["w"], params["u"], params["b"])
-                caches.append(cache)
-            else:  # DenseSpec
-                cur, cache = dense_forward(cur, params["w"], params["b"], spec.activation)
+            cur, cache = spec.forward(cur, params, mask_source if train else None)
+            if want_caches:
                 caches.append(cache)
         return (cur, caches) if want_caches else cur
 
@@ -257,25 +171,12 @@ class Network:
         """Gradients of every parameter tensor given d(loss)/d(output)."""
         if caches is None or len(caches) != len(self.specs):
             raise ValueError("backward requires the caches of a completed forward pass")
-        grads = self.zero_like_params()
+        grads = []
         grad = dout
-        for idx in range(len(self.specs) - 1, -1, -1):
-            spec, params, cache = self.specs[idx], self.params[idx], caches[idx]
-            if isinstance(spec, Conv1DSpec):
-                grad, dw, db = conv1d_backward(grad, cache, params["w"])
-                grads[idx]["w"], grads[idx]["b"] = dw, db
-            elif isinstance(spec, MaxPool1DSpec):
-                grad = maxpool1d_backward(grad, cache, spec.pool)
-            elif isinstance(spec, DropoutSpec):
-                if cache is not None:
-                    grad = dropout_backward(grad, spec.rate, cache)
-            elif isinstance(spec, LSTMSpec):
-                grad, dw, du, db = lstm_backward(grad, cache, params["w"], params["u"])
-                grads[idx]["w"], grads[idx]["u"], grads[idx]["b"] = dw, du, db
-            else:
-                grad, dw, db = dense_backward(grad, cache, params["w"], spec.activation)
-                grads[idx]["w"], grads[idx]["b"] = dw, db
-        return grads
+        for spec, params, cache in zip(self.specs[::-1], self.params[::-1], caches[::-1]):
+            grad, layer_grads = spec.backward(grad, cache, params)
+            grads.append(layer_grads)
+        return grads[::-1]
 
     def add_l2_gradients(self, grads, lam: float) -> None:
         """Add d(lam * sum w^2)/dw = 2*lam*w to every weight gradient."""
@@ -297,14 +198,6 @@ class Network:
 
 # ---------------------------------------------------------------------------
 # Loss
-
-def bce_l2_loss(prediction: float, label: int, network: Network, lam: float) -> float:
-    """Binary cross-entropy (prediction clamped to [eps, 1-eps]) plus
-    lam * sum of squared weight-matrix entries (biases excluded)."""
-    p = min(max(float(prediction), BCE_EPSILON), 1.0 - BCE_EPSILON)
-    bce = -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
-    return float(bce + lam * network.weight_squared_sum())
-
 
 def batch_bce_l2(predictions: np.ndarray, labels: np.ndarray, network: Network, lam: float):
     """Mean BCE over the batch plus the L2 penalty; also returns
@@ -331,13 +224,8 @@ class AdamState:
     v: list[dict[str, np.ndarray]] = field(default_factory=list)
 
     @classmethod
-    def for_network(cls, network: Network, learning_rate: float = 1e-3, **kwargs) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            m=network.zero_like_params(),
-            v=network.zero_like_params(),
-            **kwargs,
-        )
+    def for_network(cls, network: Network, **kwargs) -> "AdamState":
+        return cls(m=network.zero_like_params(), v=network.zero_like_params(), **kwargs)
 
 
 def adam_step(state: AdamState, params, grads):

@@ -6,7 +6,8 @@ hyperparameter search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,11 @@ import numpy as np
 from .dataset import FeatureVector, smote, to_arrays
 from .network import (
     AdamState,
+    Architecture,
     LayerSpec,
     Network,
-    ShapeError,
     adam_step,
     batch_bce_l2,
-    build_architecture,
-    infer_shapes,
     param_count,
 )
 
@@ -29,7 +28,7 @@ from .network import (
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
-    learning_rate: float = 1e-3
+    learning_rate: float = AdamState.learning_rate
     lambda_l2: float = 0.001
     seed: int = 0
     shuffle: bool = True
@@ -77,7 +76,7 @@ def train(
     n = x.shape[0]
     rng_shuffle = np.random.default_rng([config.seed, 0])
     rng_dropout = np.random.default_rng([config.seed, 1])
-    optimizer = AdamState.for_network(network, config.learning_rate)
+    optimizer = AdamState.for_network(network, learning_rate=config.learning_rate)
     logs: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
         order = rng_shuffle.permutation(n) if config.shuffle else np.arange(n)
@@ -162,7 +161,7 @@ def cross_validate(
     vectors: list[FeatureVector],
     k: int,
     config: TrainConfig,
-    specs: list[LayerSpec] | None = None,
+    specs: list[LayerSpec],
     smote_k: int = 5,
 ) -> CrossValResult:
     """Stratified k-fold; SMOTE is applied to the training part of each fold
@@ -171,8 +170,6 @@ def cross_validate(
 
     labels = np.array([v.label for v in vectors], dtype=np.uint8)
     width = int(vectors[0].values.shape[0])
-    if specs is None:
-        specs = build_architecture()
     scores = []
     for fold_idx, (train_idx, val_idx) in enumerate(stratified_folds(labels, k, config.seed)):
         balanced = smote(
@@ -222,23 +219,22 @@ class Range:
 
 SearchSpace = dict[str, Choice | Range]
 
-# Hyperparameters the architecture template understands; anything a space
-# leaves out keeps its default value.
-HYPERPARAM_DEFAULTS = {
-    "conv1_filters": 128,
-    "conv2_filters": 64,
-    "conv3_filters": 64,
-    "conv4_filters": 24,
-    "kernel_size": 4,
-    "dropout_rate": 0.166,
-    "lstm_units": 64,
-    "dense1_units": 64,
-    "dense2_units": 32,
-    "dense3_units": 16,
-    "learning_rate": 1e-3,
-}
+# Search names: `learning_rate`, each scalar `Architecture` field, and
+# `conv{i}_filters` / `dense{i}_units` for element i (1-based) of
+# `conv_filters` / `dense_units`: the index goes before the first underscore.
+_ELEMENT_NAME = re.compile(r"([a-z]+)([1-9][0-9]*)_(\w+)")
+_ARCH_FIELDS = {f.name: isinstance(f.default, tuple) for f in fields(Architecture)}
 
-STOCK_HYPERPARAMS = dict(HYPERPARAM_DEFAULTS)
+
+def _architecture_target(name: str) -> tuple[str, int | None]:
+    """The `Architecture` field a search name sets, and the 0-based tuple
+    element for an indexed name; ValueError for any other name."""
+    m = _ELEMENT_NAME.fullmatch(name)
+    if m and _ARCH_FIELDS.get(f"{m[1]}_{m[3]}") is True:
+        return f"{m[1]}_{m[3]}", int(m[2]) - 1
+    if _ARCH_FIELDS.get(name) is False:
+        return name, None
+    raise ValueError(f"unknown hyperparameter {name!r}")
 
 
 def default_search_space() -> SearchSpace:
@@ -287,6 +283,8 @@ def parse_search_space(text: str) -> SearchSpace:
             space[name] = Range(float(args[0]), float(args[1]), integer=True)
         else:
             raise ValueError(f"search space line {lineno}: unknown domain kind {kind!r}")
+        if name != "learning_rate":
+            _architecture_target(name)
     if not space:
         raise ValueError("empty search space")
     return space
@@ -296,15 +294,25 @@ def sample_hyperparams(space: SearchSpace, rng: np.random.Generator) -> dict:
     return {name: domain.sample(rng) for name, domain in sorted(space.items())}
 
 
-def specs_from_hyperparams(hp: dict) -> list[LayerSpec]:
-    merged = {**HYPERPARAM_DEFAULTS, **hp}
-    return build_architecture(
-        conv_filters=tuple(merged[f"conv{i}_filters"] for i in range(1, 5)),
-        kernel=merged["kernel_size"],
-        dropout_rate=merged["dropout_rate"],
-        lstm_units=merged["lstm_units"],
-        dense_units=tuple(merged[f"dense{i}_units"] for i in range(1, 4)),
-    )
+def specs_from_hyperparams(hp: dict, base: Architecture) -> list[LayerSpec]:
+    """`base` with every architecture value in `hp` put in; an indexed
+    name replaces that element of base's tuple. ValueError for an index
+    base's stack does not have."""
+    values = {name: getattr(base, name) for name in _ARCH_FIELDS}
+    for name, value in hp.items():
+        if name == "learning_rate":
+            continue
+        field_name, index = _architecture_target(name)
+        if index is None:
+            values[field_name] = value
+        elif index < len(values[field_name]):
+            old = values[field_name]
+            values[field_name] = old[:index] + (value,) + old[index + 1 :]
+        else:
+            raise ValueError(
+                f"{name}: the configured {field_name} has only {len(values[field_name])} entries"
+            )
+    return Architecture(**values).specs()
 
 
 @dataclass
@@ -324,13 +332,15 @@ def random_search(
     n_trials: int,
     vectors: list[FeatureVector],
     config: TrainConfig,
+    base: Architecture,
     cv_k: int = 5,
     smote_k: int = 5,
     fixed_trials: list[dict] | None = None,
 ) -> list[Trial]:
-    """Seeded independent draws, each scored by cross-validation; ranked by
-    mean F1 descending with smaller parameter count breaking ties. Trials
-    whose sampled stack fails shape inference are recorded as failed."""
+    """Seeded independent draws, each applied to the `base` architecture and
+    scored by cross-validation; ranked by mean F1 descending with smaller
+    parameter count breaking ties. Trials whose sampled stack cannot be
+    built or fails shape inference are recorded as failed."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     rng = np.random.default_rng(config.seed)
@@ -340,8 +350,7 @@ def random_search(
     for idx, hp in enumerate(all_hp):
         trial = Trial(index=idx, hyperparams=hp)
         try:
-            specs = specs_from_hyperparams(hp)
-            infer_shapes(specs, width)
+            specs = specs_from_hyperparams(hp, base)
             trial.n_params = param_count(specs, width)
             trial_config = replace(
                 config,
@@ -352,7 +361,7 @@ def random_search(
             trial.fold_f1 = result.fold_f1
             trial.mean_f1 = result.mean_f1
             trial.std_f1 = result.std_f1
-        except (ShapeError, ValueError) as exc:
+        except ValueError as exc:
             trial.status = "failed"
             trial.error = str(exc)
         trials.append(trial)

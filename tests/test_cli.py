@@ -4,6 +4,7 @@ from helpers import cohort_fixture_texts, separable_blobs
 from spikesev import dataset
 from spikesev.cli import main
 from spikesev.ingest import Severity, SpikeRecord, read_cohort, write_cohort
+from spikesev.network import Architecture, param_count
 
 TINY_CONFIG = """
 n_model = 600
@@ -226,6 +227,29 @@ class TestSearchCommand:
         lines = (wd / "trials.tsv").read_text().splitlines()
         assert len(lines) == 2
         assert "\tok\t" in lines[1]
+        capsys.readouterr()
+
+    def test_trials_build_on_the_config_architecture(self, tmp_path, fixture_files, capsys):
+        fasta, meta, cfg = fixture_files
+        cfg.write_text(TINY_CONFIG.replace("pool_size = 2", "pool_size = 3"))
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+              "--workdir", str(wd)])
+        space = tmp_path / "space.tsv"
+        space.write_text("learning_rate\tlog\t0.001\t0.003\n")
+        code = main(["search", "--config", str(cfg), "--matrix", str(wd / "features.mat"),
+                     "--workdir", str(wd), "--space", str(space), "--trials", "1", "--k", "2",
+                     "--epochs", "1", "--include-default"])
+        assert code == 0
+        header, *rows = (wd / "trials.tsv").read_text().splitlines()
+        arch = Architecture(conv_filters=(4,), kernel_size=3, pool_size=3, dropout_rate=0.1,
+                            lstm_units=6, dense_units=(8,))
+        assert len(rows) == 2  # the configured architecture as a fixed trial, then one draw
+        for row in rows:
+            fields = dict(zip(header.split("\t"), row.split("\t")))
+            assert fields["status"] == "ok"
+            assert fields["param_count"] == str(param_count(arch.specs(), 600))
         capsys.readouterr()
 
 

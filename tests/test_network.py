@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,12 +14,12 @@ from spikesev.network import (
     ShapeError,
     adam_step,
     batch_bce_l2,
-    bce_l2_loss,
     default_architecture,
     infer_shapes,
     param_count,
     per_layer_param_counts,
 )
+from spikesev.training import TrainConfig, train
 
 # per-layer reference: output shapes and parameter counts of the stock stack
 REFERENCE_SHAPES = [
@@ -137,12 +141,17 @@ class TestForwardBackward:
                     np.testing.assert_allclose(diff, 2.0 * lam * layer_p[key], rtol=1e-6)
 
 
+def bce_l2_one_row(prediction: float, label: int, network: Network, lam: float) -> float:
+    loss, _ = batch_bce_l2(np.array([prediction]), np.array([label]), network, lam)
+    return loss
+
+
 class TestLoss:
     def test_perfect_prediction_zero_loss(self, tiny_net):
-        assert bce_l2_loss(1.0 - 1e-9, 1, tiny_net, 0.0) == pytest.approx(0.0, abs=1e-6)
+        assert bce_l2_one_row(1.0 - 1e-9, 1, tiny_net, 0.0) == pytest.approx(0.0, abs=1e-6)
 
     def test_half_prediction_is_ln_two(self, tiny_net):
-        assert bce_l2_loss(0.5, 1, tiny_net, 0.0) == pytest.approx(np.log(2.0), abs=1e-9)
+        assert bce_l2_one_row(0.5, 1, tiny_net, 0.0) == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_penalty_matches_direct_parameter_sum(self, tiny_net):
         # independent oracle: walk the parameter tensors directly
@@ -151,13 +160,13 @@ class TestLoss:
             for key, tensor in layer.items():
                 if key != "b":
                     direct += float((tensor.astype(np.float64) ** 2).sum())
-        with_pen = bce_l2_loss(0.5, 1, tiny_net, 0.001)
-        without = bce_l2_loss(0.5, 1, tiny_net, 0.0)
+        with_pen = bce_l2_one_row(0.5, 1, tiny_net, 0.001)
+        without = bce_l2_one_row(0.5, 1, tiny_net, 0.0)
         assert with_pen - without == pytest.approx(0.001 * direct, rel=1e-9)
 
     def test_clamping_keeps_loss_finite(self, tiny_net):
-        assert np.isfinite(bce_l2_loss(0.0, 1, tiny_net, 0.0))
-        assert np.isfinite(bce_l2_loss(1.0, 0, tiny_net, 0.0))
+        assert np.isfinite(bce_l2_one_row(0.0, 1, tiny_net, 0.0))
+        assert np.isfinite(bce_l2_one_row(1.0, 0, tiny_net, 0.0))
 
 
 class TestAdam:
@@ -282,6 +291,94 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def _twin_dense_checkpoint(path) -> bytes:
+    """Checkpoint with Adam state of a stack whose layers 1 and 2 have
+    equal weight shapes (4, 4); layer 3's weight is (4, 1)."""
+    specs = [LSTMSpec(4), DenseSpec(4, "relu"), DenseSpec(4, "relu"), DenseSpec(1, "sigmoid")]
+    net = Network(20, specs, seed=2)
+    save_checkpoint(net, path, "a" * 64, AdamState.for_network(net))
+    return path.read_bytes()
+
+
+def _name_block(name: str) -> bytes:
+    return struct.pack("<I", len(name)) + name.encode()
+
+
+def _rewrite_layers(path, edit) -> None:
+    """Apply `edit` to the layer list of a checkpoint's architecture JSON."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 12)
+    arch = json.loads(blob[16 : 16 + n])
+    edit(arch["layers"])
+    new = json.dumps(arch).encode()
+    path.write_bytes(blob[:12] + struct.pack("<I", len(new)) + new + blob[16 + n :])
+
+
+class TestCheckpointLoaderRefuses:
+    def test_duplicate_tensor_name(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        blob = _twin_dense_checkpoint(path)
+        # list 1/w twice and omit 2/w; the shapes match, so only the name gives it away
+        path.write_bytes(blob.replace(_name_block("2/w"), _name_block("1/w"), 1))
+        with pytest.raises(CheckpointError, match="duplicate tensor '1/w'"):
+            load_checkpoint(path)
+
+    def test_unknown_optimizer_tensor_name(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        blob = _twin_dense_checkpoint(path)
+        path.write_bytes(blob.replace(_name_block("m/1/w"), _name_block("m/9/w"), 1))
+        with pytest.raises(CheckpointError, match="unexpected tensor 'm/9/w'"):
+            load_checkpoint(path)
+
+    def test_misshapen_optimizer_tensor(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        blob = _twin_dense_checkpoint(path)
+        header = _name_block("m/3/w") + b"\x02"
+        assert header + struct.pack("<2I", 4, 1) in blob
+        path.write_bytes(blob.replace(header + struct.pack("<2I", 4, 1), header + struct.pack("<2I", 1, 4)))
+        with pytest.raises(CheckpointError, match="'m/3/w' has shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda layers: layers[1].pop("units"),
+            lambda layers: layers[1].update(bias=True),
+            lambda layers: layers[1].update(units="4"),
+            lambda layers: layers[1].update(units=4.0),
+            lambda layers: layers[1].update(activation=None),
+        ],
+        ids=["missing", "extra", "str-for-int", "float-for-int", "null-for-str"],
+    )
+    def test_malformed_layer_entry(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        _twin_dense_checkpoint(path)
+        _rewrite_layers(path, edit)
+        with pytest.raises(CheckpointError, match="dense layer"):
+            load_checkpoint(path)
+
+
+class TestFormatPin:
+    """Checkpoint format v1, the parameter init order and the training path,
+    pinned by sha256. The trained-score hash was recorded with numpy 2.4 and
+    OpenBLAS on x86-64; another BLAS may round differently."""
+
+    def test_initial_checkpoint_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Network(64, seed=3), path, "abc")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "6b4317e6ca092c941a89a39772e3a54f77219693f55090f441464935452c7276"
+
+    def test_scores_after_two_epochs(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(24, 64)).astype(np.float32)
+        y = (np.arange(24) % 2).astype(np.uint8)
+        net = Network(64, seed=3)
+        train(net, x, y, TrainConfig(epochs=2, batch_size=8, seed=3))
+        digest = hashlib.sha256(net.predict_scores(x).tobytes()).hexdigest()
+        assert digest == "59ebb44486c2255194c6a754b26be2eab47757883992347b87c05fe5d50f0d12"
+
+
 class TestUnusedParameterInvariance:
     """Widening a layer with parameters that cannot influence the output must
     leave predictions and the lambda=0 loss unchanged, and raise the
@@ -307,7 +404,7 @@ class TestUnusedParameterInvariance:
         x = np.random.default_rng(0).normal(size=(3, 20)).astype(np.float32)
         np.testing.assert_allclose(base.forward(x), wide.forward(x), rtol=1e-6)
         p = float(base.forward(x)[0, 0])
-        assert bce_l2_loss(p, 1, base, 0.0) == pytest.approx(bce_l2_loss(p, 1, wide, 0.0))
+        assert bce_l2_one_row(p, 1, base, 0.0) == pytest.approx(bce_l2_one_row(p, 1, wide, 0.0))
 
     def test_positive_lambda_loss_grows_by_new_weight_norm(self):
         base, wide = self._widened_pair()
@@ -317,7 +414,7 @@ class TestUnusedParameterInvariance:
         np.testing.assert_allclose(base.forward(x), wide.forward(x), rtol=1e-6)
         p = 0.5
         lam = 0.001
-        grown = bce_l2_loss(p, 1, wide, lam) - bce_l2_loss(p, 1, base, lam)
+        grown = bce_l2_one_row(p, 1, wide, lam) - bce_l2_one_row(p, 1, base, lam)
         assert grown == pytest.approx(lam * float((new_column.astype(np.float64) ** 2).sum()), rel=1e-6)
 
 

@@ -6,12 +6,11 @@ import pytest
 import spikesev.training as training_module
 from helpers import best_threshold_accuracy, scaled_stack, separable_blobs
 from spikesev.dataset import FeatureVector
-from spikesev.network import Network
+from spikesev.network import Architecture, Network, default_architecture, param_count
 from spikesev.training import (
     Choice,
     CrossValResult,
     EpochLog,
-    STOCK_HYPERPARAMS,
     Range,
     TrainConfig,
     cross_validate,
@@ -189,7 +188,7 @@ class TestRandomSearch:
     def test_single_trial_is_best(self):
         vectors = _blob_vectors(n=40, length=200, seed=8)
         config = TrainConfig(epochs=1, seed=2, batch_size=16)
-        trials = random_search(SMALL_SPACE, 1, vectors, config, cv_k=2, smote_k=2)
+        trials = random_search(SMALL_SPACE, 1, vectors, config, Architecture(), cv_k=2, smote_k=2)
         assert len(trials) == 1
         assert trials[0].status == "ok"
         assert trials[0].mean_f1 is not None
@@ -206,14 +205,14 @@ class TestRandomSearch:
         bad_space = dict(SMALL_SPACE)
         bad_space["kernel_size"] = Choice((50,))  # cannot fit a length-40 input
         config = TrainConfig(epochs=1, seed=1, batch_size=16)
-        trials = random_search(bad_space, 2, vectors, config, cv_k=2, smote_k=2)
+        trials = random_search(bad_space, 2, vectors, config, Architecture(), cv_k=2, smote_k=2)
         assert all(t.status == "failed" for t in trials)
         assert all(t.error for t in trials)
 
     def test_ranking_by_f1_then_param_count(self):
         vectors = _blob_vectors(n=40, length=200, seed=8)
         config = TrainConfig(epochs=1, seed=3, batch_size=16)
-        trials = random_search(SMALL_SPACE, 3, vectors, config, cv_k=2, smote_k=2)
+        trials = random_search(SMALL_SPACE, 3, vectors, config, Architecture(), cv_k=2, smote_k=2)
         ok = [t for t in trials if t.status == "ok"]
         for a, b in zip(ok, ok[1:]):
             assert (a.mean_f1, -a.n_params) >= (b.mean_f1, -b.n_params)
@@ -222,18 +221,18 @@ class TestRandomSearch:
         vectors = _blob_vectors(n=24, length=512, seed=6)
         config = TrainConfig(epochs=1, seed=0, batch_size=12)
         trials = random_search(
-            SMALL_SPACE, 1, vectors, config, cv_k=2, smote_k=2,
-            fixed_trials=[dict(STOCK_HYPERPARAMS)],
+            SMALL_SPACE, 1, vectors, config, Architecture(), cv_k=2, smote_k=2,
+            fixed_trials=[{}],
         )
         fixed = [t for t in trials if t.index == 0]
-        assert fixed and fixed[0].hyperparams == STOCK_HYPERPARAMS
+        assert fixed and fixed[0].hyperparams == {}
         assert fixed[0].status == "ok"
         assert fixed[0].mean_f1 is not None
 
     def test_trial_table_output(self):
         vectors = _blob_vectors(n=30, length=40)
         config = TrainConfig(epochs=1, seed=1, batch_size=16)
-        trials = random_search(SMALL_SPACE, 2, vectors, config, cv_k=2, smote_k=2)
+        trials = random_search(SMALL_SPACE, 2, vectors, config, Architecture(), cv_k=2, smote_k=2)
         buf = io.StringIO()
         write_trials(trials, buf)
         lines = buf.getvalue().splitlines()
@@ -242,7 +241,7 @@ class TestRandomSearch:
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
-            random_search(SMALL_SPACE, 0, [], TrainConfig(epochs=1))
+            random_search(SMALL_SPACE, 0, [], TrainConfig(epochs=1), Architecture())
 
 
 class TestSearchSpaceParsing:
@@ -273,11 +272,43 @@ class TestSearchSpaceParsing:
         space = default_search_space()
         for _ in range(10):
             hp = sample_hyperparams(space, rng)
-            specs = specs_from_hyperparams(hp)
+            specs = specs_from_hyperparams(hp, Architecture())
             assert specs  # every sampled stack is constructible
 
     def test_stock_defaults_build_the_default_stack(self):
-        from spikesev.network import default_architecture
+        assert specs_from_hyperparams({}, Architecture()) == default_architecture()
 
-        assert specs_from_hyperparams({}) == default_architecture()
-        assert specs_from_hyperparams(dict(STOCK_HYPERPARAMS)) == default_architecture()
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown hyperparameter 'kernal_size'"):
+            parse_search_space("kernal_size\tchoice\t3\t4\n")
+        with pytest.raises(ValueError, match="unknown hyperparameter 'conv_filters'"):
+            parse_search_space("conv_filters\tchoice\t3\n")
+
+
+class TestSearchBase:
+    BASE = Architecture(conv_filters=(4, 3), kernel_size=3, pool_size=3, lstm_units=5, dense_units=(6,))
+
+    def test_unsampled_values_come_from_the_base(self):
+        assert specs_from_hyperparams({"learning_rate": 0.01}, self.BASE) == self.BASE.specs()
+
+    def test_indexed_name_replaces_that_element(self):
+        specs = specs_from_hyperparams({"conv2_filters": 7, "dense1_units": 9}, self.BASE)
+        expected = Architecture(
+            conv_filters=(4, 7), kernel_size=3, pool_size=3, lstm_units=5, dense_units=(9,)
+        )
+        assert specs == expected.specs()
+
+    def test_index_beyond_the_base_stack_fails_the_trial(self):
+        vectors = _blob_vectors(n=30, length=40)
+        space = {"conv3_filters": Choice((4,)), "learning_rate": Range(1e-3, 2e-3)}
+        trials = random_search(space, 1, vectors, TrainConfig(epochs=1), self.BASE, cv_k=2, smote_k=2)
+        assert trials[0].status == "failed"
+        assert "conv3_filters" in trials[0].error
+
+    def test_trial_parameter_count_is_the_base_architecture(self):
+        vectors = _blob_vectors(n=30, length=40)
+        space = {"learning_rate": Range(1e-3, 2e-3)}
+        config = TrainConfig(epochs=1, batch_size=16)
+        trials = random_search(space, 1, vectors, config, self.BASE, cv_k=2, smote_k=2)
+        assert trials[0].status == "ok"
+        assert trials[0].n_params == param_count(self.BASE.specs(), 40)
