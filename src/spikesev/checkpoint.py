@@ -50,6 +50,26 @@ def spec_from_dict(d: dict) -> LayerSpec:
         raise CheckpointError(f"{kind} layer: {exc}") from None
 
 
+_ARCH_TYPES = {"input_length": int, "layers": list, "seed": int}
+
+
+def _architecture(payload: bytes, path) -> dict:
+    """The architecture block: a JSON object of exactly `_ARCH_TYPES`'s keys
+    and types, with one object per layer."""
+    try:
+        arch = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise CheckpointError(f"{path}: architecture block is not UTF-8 JSON ({exc})") from None
+    if not isinstance(arch, dict) or sorted(arch) != sorted(_ARCH_TYPES):
+        raise CheckpointError(f"{path}: architecture block must be an object of {sorted(_ARCH_TYPES)}")
+    for key, expected in _ARCH_TYPES.items():
+        if isinstance(arch[key], bool) or not isinstance(arch[key], expected):
+            raise CheckpointError(f"{path}: architecture field {key!r} is not a {expected.__name__}")
+    if not all(isinstance(d, dict) for d in arch["layers"]):
+        raise CheckpointError(f"{path}: architecture layers must be objects")
+    return arch
+
+
 def _write_block(fh, payload: bytes) -> None:
     fh.write(struct.pack("<I", len(payload)))
     fh.write(payload)
@@ -169,7 +189,7 @@ def load_checkpoint(
     (version,) = struct.unpack("<I", reader.take(4))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    arch = json.loads(reader.block().decode("utf-8"))
+    arch = _architecture(reader.block(), path)
     registry_hash = reader.block().decode("utf-8")
     if expect_registry_hash is not None and registry_hash != expect_registry_hash:
         raise CheckpointError(

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import multiprocessing
 import sys
 from dataclasses import fields
@@ -64,27 +65,14 @@ def _detect_delimiter(cfg: RunConfig, path: str, text: str) -> str:
     return "\t" if "\t" in first else ","
 
 
-def _read_vectors(matrix_path: str) -> list[dataset.FeatureVector]:
-    vectors = dataset.read_matrix(matrix_path)
-    ids_path = Path(matrix_path).with_suffix(".ids")
-    if ids_path.exists():
-        accessions = dataset.read_accessions(ids_path)
-        if len(accessions) == len(vectors):
-            vectors = [
-                dataset.FeatureVector(values=v.values, label=v.label, accession=a)
-                for v, a in zip(vectors, accessions)
-            ]
-    return vectors
-
-
-def _write_vectors(vectors, wd: Path, stem: str) -> None:
-    dataset.write_matrix(vectors, wd / f"{stem}.mat")
-    dataset.write_accessions(vectors, wd / f"{stem}.ids")
-
-
-def _block_weights(cfg: RunConfig) -> dataset.BlockWeights:
-    return dataset.BlockWeights(
+def _assembler(cfg: RunConfig, registry, codebook, n_model: int):
+    """`dataset.assemble` of one record with everything else fixed."""
+    weights = dataset.BlockWeights(
         sequence=cfg.block_weight_sequence, covariates=cfg.block_weight_covariates
+    )
+    return functools.partial(
+        dataset.assemble, registry=registry, codebook=codebook, n_model=n_model,
+        block_weights=weights,
     )
 
 
@@ -142,20 +130,6 @@ def cmd_stats(cfg: RunConfig, cohort_path: str, out: str | None, record_config: 
     return EXIT_OK
 
 
-_FEATURIZE_CTX: dict = {}
-
-
-def _featurize_init(registry, codebook, n_model, weights):
-    _FEATURIZE_CTX.update(
-        registry=registry, codebook=codebook, n_model=n_model, weights=weights
-    )
-
-
-def _featurize_one(record):
-    c = _FEATURIZE_CTX
-    return dataset.assemble(record, c["registry"], c["codebook"], c["n_model"], c["weights"])
-
-
 def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
@@ -163,61 +137,56 @@ def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to featurize")
     codebook = dataset.fit_codebook(records, age_binning=cfg.age_binning)
-    weights = _block_weights(cfg)
+    assemble = _assembler(cfg, registry, codebook, cfg.n_model)
     if cfg.jobs > 1:
-        with multiprocessing.Pool(
-            cfg.jobs,
-            initializer=_featurize_init,
-            initargs=(registry, codebook, cfg.n_model, weights),
-        ) as pool:
-            vectors = pool.map(_featurize_one, records, chunksize=32)
+        with multiprocessing.Pool(cfg.jobs) as pool:
+            rows = pool.map(assemble, records, chunksize=32)
     else:
-        vectors = [
-            dataset.assemble(r, registry, codebook, cfg.n_model, weights) for r in records
-        ]
-    truncated = sum(1 for v in vectors if v.truncated)
+        rows = list(map(assemble, records))
+    truncated = sum(1 for r in rows if r.truncated)
     if truncated:
         print(f"warning: residue block truncated for {truncated} record(s)", file=sys.stderr)
-    _write_vectors(vectors, wd, "features")
+    dataset.write_matrix(dataset.FeatureMatrix.stack(rows), wd / "features.mat")
     (wd / "codebook.tsv").write_text(codebook.to_text(registry.content_hash), encoding="utf-8")
     _write_resolved(
         cfg, wd, "featurize",
         {"registry_hash": registry.content_hash, "truncated_records": str(truncated)},
     )
-    print(f"featurized {len(vectors)} records at width {cfg.n_model}")
+    print(f"featurized {len(rows)} records at width {cfg.n_model}")
     return EXIT_OK
 
 
 def cmd_split(cfg: RunConfig, matrix_path: str) -> int:
     wd = _workdir(cfg)
-    vectors = _read_vectors(matrix_path)
-    split = dataset.stratified_split(vectors, cfg.ratio, cfg.split_seed)
-    _write_vectors(split.train, wd, "train")
-    _write_vectors(split.test, wd, "test")
+    m = dataset.read_matrix(matrix_path)
+    split = dataset.stratified_split(m, cfg.ratio, cfg.split_seed)
+    dataset.write_matrix(split.train, wd / "train.mat")
+    dataset.write_matrix(split.test, wd / "test.mat")
     _write_resolved(cfg, wd, "split")
-    print(f"split {len(vectors)} rows into {len(split.train)} train / {len(split.test)} test")
+    print(f"split {len(m)} rows into {len(split.train)} train / {len(split.test)} test")
     return EXIT_OK
 
 
 def cmd_balance(cfg: RunConfig, matrix_path: str) -> int:
     wd = _workdir(cfg)
-    vectors = _read_vectors(matrix_path)
-    balanced = dataset.smote(vectors, k=cfg.smote_k, seed=cfg.smote_seed)
-    _write_vectors(balanced, wd, "balanced")
+    m = dataset.read_matrix(matrix_path)
+    balanced = dataset.smote(m, k=cfg.smote_k, seed=cfg.smote_seed)
+    dataset.write_matrix(balanced, wd / "balanced.mat")
     _write_resolved(cfg, wd, "balance")
-    print(f"balanced {len(vectors)} rows to {len(balanced)}")
+    print(f"balanced {len(m)} rows to {len(balanced)}")
     return EXIT_OK
 
 
 def cmd_train(cfg: RunConfig, matrix_path: str, val_matrix: str | None) -> int:
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
-    x, y = dataset.to_arrays(_read_vectors(matrix_path))
+    m = dataset.read_matrix(matrix_path)
     validation = None
     if val_matrix:
-        validation = dataset.to_arrays(_read_vectors(val_matrix))
-    net = Network(x.shape[1], _arch_from_config(cfg).specs(), seed=cfg.train_seed)
-    logs, optimizer = training.train(net, x, y, _train_config(cfg), validation)
+        v = dataset.read_matrix(val_matrix)
+        validation = v.x, v.y
+    net = Network(m.x.shape[1], _arch_from_config(cfg).specs(), seed=cfg.train_seed)
+    logs, optimizer = training.train(net, m.x, m.y, _train_config(cfg), validation)
     ckpt.save_checkpoint(net, wd / "model.ckpt", registry.content_hash, optimizer)
     training.write_epoch_logs(logs, wd / "epochs.tsv")
     _write_resolved(cfg, wd, "train", {"registry_hash": registry.content_hash})
@@ -233,12 +202,12 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str, matrix_path: str) -> int:
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
     net, _, _ = ckpt.load_checkpoint(checkpoint_path, expect_registry_hash=registry.content_hash)
-    x, y = dataset.to_arrays(_read_vectors(matrix_path))
-    if x.shape[1] != net.input_length:
+    m = dataset.read_matrix(matrix_path)
+    if m.x.shape[1] != net.input_length:
         raise ValueError(
-            f"matrix width {x.shape[1]} does not match checkpoint input length {net.input_length}"
+            f"matrix width {m.x.shape[1]} does not match checkpoint input length {net.input_length}"
         )
-    report = evaluation.evaluate(net, x, y, cfg.threshold)
+    report = evaluation.evaluate(net, m.x, m.y, cfg.threshold)
     header = f"# registry_hash {registry.content_hash}\n"
     (wd / "report.tsv").write_text(header + evaluation.report_tsv(report), encoding="utf-8")
     (wd / "confusion.tsv").write_text(report.confusion.to_tsv(), encoding="utf-8")
@@ -258,12 +227,9 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort
     records = ingest.read_cohort(cohort_path)
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to predict")
-    weights = _block_weights(cfg)
-    vectors = [
-        dataset.assemble(r, registry, codebook, net.input_length, weights) for r in records
-    ]
-    x, _ = dataset.to_arrays(vectors)
-    scores = net.predict_scores(x)
+    assemble = _assembler(cfg, registry, codebook, net.input_length)
+    rows = list(map(assemble, records))
+    scores = net.predict_scores(dataset.FeatureMatrix.stack(rows).x)
     lines = ["accession\tscore\tpredicted_label\tpredicted_class"]
     for record, score in zip(records, scores):
         label = int(score >= cfg.threshold)
@@ -277,7 +243,7 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort
 
 def cmd_search(cfg: RunConfig, matrix_path: str, include_default: bool) -> int:
     wd = _workdir(cfg)
-    vectors = _read_vectors(matrix_path)
+    m = dataset.read_matrix(matrix_path)
     space = (
         training.parse_search_space(Path(cfg.search_space).read_text(encoding="utf-8"))
         if cfg.search_space
@@ -287,7 +253,7 @@ def cmd_search(cfg: RunConfig, matrix_path: str, include_default: bool) -> int:
     trials = training.random_search(
         space,
         cfg.trials,
-        vectors,
+        m,
         _train_config(cfg),
         _arch_from_config(cfg),
         cv_k=cfg.cv_k,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .dataset import DEFAULT_N_MODEL
 from .network import Architecture
 from .training import TrainConfig
 
@@ -42,7 +43,7 @@ class RunConfig:
     # metadata parsing
     delimiter: str = "auto"  # auto | tab | comma
     # featurization
-    n_model: int = 16730
+    n_model: int = DEFAULT_N_MODEL
     block_weight_sequence: float = 1.0
     block_weight_covariates: float = 1.0
     age_binning: str = "exact"  # exact | decade

@@ -119,22 +119,49 @@ class BlockWeights:
 
 
 @dataclass(frozen=True)
-class BlockLayout:
-    """Half-open slot ranges of the four blocks inside a feature vector."""
-
-    global_block: tuple[int, int]
-    residue_block: tuple[int, int]
-    covariate_block: tuple[int, int]
-    padding_block: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class FeatureVector:
+    """One assembled record; `FeatureMatrix.stack` turns a list of them into
+    a matrix."""
+
     values: np.ndarray  # float32, length n_model
     label: int  # 1 = mild, 0 = severe
     accession: str | None = None
-    layout: BlockLayout | None = None
     truncated: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """Rows x (float32, n x d), labels y (uint8, 1 = mild, 0 = severe) and
+    row-aligned accessions ids ("-" where unknown)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    ids: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float32))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.uint8))
+        object.__setattr__(self, "ids", tuple(self.ids))
+        n = len(self.y)
+        if self.x.ndim != 2 or len(self.x) != n or self.y.ndim != 1 or len(self.ids) != n:
+            raise ValueError(
+                f"{self.x.shape} rows, {self.y.shape} labels and {len(self.ids)} ids do not align"
+            )
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    @classmethod
+    def stack(cls, rows: list[FeatureVector]) -> "FeatureMatrix":
+        return cls(
+            np.stack([r.values for r in rows]),
+            np.array([r.label for r in rows], dtype=np.uint8),
+            tuple("-" if r.accession is None else r.accession for r in rows),
+        )
+
+    def take(self, idx: np.ndarray) -> "FeatureMatrix":
+        """The rows at `idx`, in that order."""
+        return FeatureMatrix(self.x[idx], self.y[idx], tuple(self.ids[i] for i in idx))
 
 
 def assemble(
@@ -170,29 +197,22 @@ def assemble(
     values[GLOBAL_DESCRIPTOR_LENGTH:r_end] = residue * block_weights.sequence
     values[r_end : r_end + width] = cov * block_weights.covariates
 
-    layout = BlockLayout(
-        global_block=(0, GLOBAL_DESCRIPTOR_LENGTH),
-        residue_block=(GLOBAL_DESCRIPTOR_LENGTH, r_end),
-        covariate_block=(r_end, r_end + width),
-        padding_block=(r_end + width, n_model),
-    )
     return FeatureVector(
         values=values.astype(np.float32),
         label=LABEL_OF[record.label],
         accession=record.accession_id,
-        layout=layout,
         truncated=truncated,
     )
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: list[FeatureVector]
-    test: list[FeatureVector]
+    train: FeatureMatrix
+    test: FeatureMatrix
     seed: int
 
 
-def stratified_split(vectors: list[FeatureVector], ratio: float, seed: int) -> DatasetSplit:
+def stratified_split(m: FeatureMatrix, ratio: float, seed: int) -> DatasetSplit:
     """Per-class seeded shuffle; floor(ratio * n_class) to train, rest to test.
 
     Deterministic given the seed; both parts keep the input order of their
@@ -200,51 +220,43 @@ def stratified_split(vectors: list[FeatureVector], ratio: float, seed: int) -> D
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
-    by_class: dict[int, list[int]] = {0: [], 1: []}
-    for i, v in enumerate(vectors):
-        by_class[v.label].append(i)
-    for label, idxs in by_class.items():
-        if not idxs:
+    by_class = [np.flatnonzero(m.y == label) for label in (0, 1)]
+    for label, idxs in enumerate(by_class):
+        if not idxs.size:
             raise ValueError(f"class {label} has no records")
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in (0, 1):
-        idxs = np.array(by_class[label])
+    train_idx, test_idx = [], []
+    for idxs in by_class:
         rng.shuffle(idxs)
         n_train = int(np.floor(ratio * len(idxs)))
-        train_idx.extend(idxs[:n_train].tolist())
-        test_idx.extend(idxs[n_train:].tolist())
+        train_idx.append(idxs[:n_train])
+        test_idx.append(idxs[n_train:])
     return DatasetSplit(
-        train=[vectors[i] for i in sorted(train_idx)],
-        test=[vectors[i] for i in sorted(test_idx)],
+        train=m.take(np.sort(np.concatenate(train_idx))),
+        test=m.take(np.sort(np.concatenate(test_idx))),
         seed=seed,
     )
 
 
-def smote(train_vectors: list[FeatureVector], k: int = 5, seed: int = 0) -> list[FeatureVector]:
+def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     """Balance classes by interpolating synthetic minority samples.
 
     Each synthetic sample is x + lam * (z - x) for a random minority sample x,
     one of its k nearest minority neighbours z (Euclidean) and lam ~ U[0, 1].
-    Originals are returned unchanged, synthetics appended.
+    The original rows come first, unchanged, then the synthetics.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = {0: 0, 1: 0}
-    for v in train_vectors:
-        counts[v.label] += 1
+    counts = np.bincount(m.y, minlength=2)
     if counts[0] == counts[1]:
-        return list(train_vectors)
+        return m
     minority = 0 if counts[0] < counts[1] else 1
-    n_min, n_maj = counts[minority], counts[1 - minority]
+    n_min, n_maj = int(counts[minority]), int(counts[1 - minority])
     if n_min < 2:
         raise ValueError("SMOTE requires >=2 minority samples")
     k = min(k, n_min - 1)
 
-    minority_rows = np.stack(
-        [v.values.astype(np.float64) for v in train_vectors if v.label == minority]
-    )
+    minority_rows = m.x[m.y == minority].astype(np.float64)
     # Pairwise distances; self excluded, ties broken by index for determinism.
     deltas = minority_rows[:, None, :] - minority_rows[None, :, :]
     dists = np.sqrt((deltas**2).sum(axis=2))
@@ -252,68 +264,63 @@ def smote(train_vectors: list[FeatureVector], k: int = 5, seed: int = 0) -> list
     neighbor_idx = np.argsort(dists, axis=1, kind="stable")[:, :k]
 
     rng = np.random.default_rng(seed)
-    synthetics: list[FeatureVector] = []
-    for i in range(n_maj - n_min):
+    synthetic = np.empty((n_maj - n_min, m.x.shape[1]), dtype=np.float32)
+    for i in range(len(synthetic)):
         x_i = int(rng.integers(0, n_min))
         z_i = int(neighbor_idx[x_i, int(rng.integers(0, k))])
         lam = float(rng.random())
-        values = minority_rows[x_i] + lam * (minority_rows[z_i] - minority_rows[x_i])
-        synthetics.append(
-            FeatureVector(
-                values=values.astype(np.float32),
-                label=minority,
-                accession=f"synthetic-{i}",
-            )
-        )
-    return list(train_vectors) + synthetics
+        synthetic[i] = minority_rows[x_i] + lam * (minority_rows[z_i] - minority_rows[x_i])
+    return FeatureMatrix(
+        np.concatenate([m.x, synthetic]),
+        np.concatenate([m.y, np.full(len(synthetic), minority, dtype=np.uint8)]),
+        m.ids + tuple(f"synthetic-{i}" for i in range(len(synthetic))),
+    )
 
 
-def to_arrays(vectors: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack vectors into (X float32 [n, d], y uint8 [n])."""
-    x = np.stack([v.values for v in vectors]).astype(np.float32)
-    y = np.array([v.label for v in vectors], dtype=np.uint8)
-    return x, y
+def to_arrays(m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    return m.x, m.y
 
 
-def write_matrix(vectors: list[FeatureVector], path: str | Path) -> None:
-    """Binary matrix: magic, u32 rows, u32 cols, f32 LE payload, u8 labels."""
-    if not vectors:
+def write_matrix(m: FeatureMatrix | list[FeatureVector], path: str | Path) -> None:
+    """Binary matrix (magic, u32 rows, u32 cols, f32 LE payload, u8 labels)
+    plus its `.ids` sidecar, one accession per row. A list of `assemble`
+    rows is stacked first."""
+    if not len(m):
         raise ValueError("refusing to write an empty matrix")
-    x, y = to_arrays(vectors)
-    rows, cols = x.shape
+    if not isinstance(m, FeatureMatrix):
+        m = FeatureMatrix.stack(m)
+    path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<II", rows, cols))
-        fh.write(x.astype("<f4").tobytes())
-        fh.write(y.tobytes())
+        fh.write(struct.pack("<II", *m.x.shape))
+        np.ascontiguousarray(m.x, dtype="<f4").tofile(fh)
+        m.y.tofile(fh)
+    path.with_suffix(".ids").write_text("".join(f"{a}\n" for a in m.ids), encoding="utf-8")
 
 
-def read_matrix(path: str | Path) -> list[FeatureVector]:
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MATRIX_MAGIC) + 8:
-        raise MatrixFormatError(f"{path}: truncated header")
-    if blob[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic, not a feature matrix file")
-    rows, cols = struct.unpack_from("<II", blob, len(MATRIX_MAGIC))
-    offset = len(MATRIX_MAGIC) + 8
-    expected = offset + rows * cols * 4 + rows
-    if len(blob) < expected:
-        raise MatrixFormatError(f"{path}: truncated payload (expected {expected} bytes, got {len(blob)})")
-    if len(blob) > expected:
-        raise MatrixFormatError(f"{path}: payload size inconsistent with header dimensions")
-    x = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset).reshape(rows, cols)
-    labels = np.frombuffer(blob, dtype=np.uint8, count=rows, offset=offset + rows * cols * 4)
-    return [
-        FeatureVector(values=x[i].copy(), label=int(labels[i]))
-        for i in range(rows)
-    ]
-
-
-def write_accessions(vectors: list[FeatureVector], path: str | Path) -> None:
-    """Row-aligned accession sidecar for a matrix file."""
-    lines = [v.accession if v.accession is not None else "-" for v in vectors]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_accessions(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+def read_matrix(path: str | Path) -> FeatureMatrix:
+    """The matrix at `path` with the accessions of its `.ids` sidecar; all
+    "-" if there is none. A sidecar of another row count is refused."""
+    path = Path(path)
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        header = fh.read(len(MATRIX_MAGIC) + 8)
+        if len(header) < len(MATRIX_MAGIC) + 8:
+            raise MatrixFormatError(f"{path}: truncated header")
+        if header[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
+            raise MatrixFormatError(f"{path}: bad magic, not a feature matrix file")
+        rows, cols = struct.unpack_from("<II", header, len(MATRIX_MAGIC))
+        expected = len(header) + rows * cols * 4 + rows
+        if size < expected:
+            raise MatrixFormatError(f"{path}: truncated payload (expected {expected} bytes, got {size})")
+        if size > expected:
+            raise MatrixFormatError(f"{path}: payload size inconsistent with header dimensions")
+        x = np.fromfile(fh, dtype="<f4", count=rows * cols).reshape(rows, cols)
+        y = np.fromfile(fh, dtype=np.uint8, count=rows)
+    if (y > 1).any():
+        raise MatrixFormatError(f"{path}: labels must be 0 (severe) or 1 (mild)")
+    ids_path = path.with_suffix(".ids")
+    ids = ids_path.read_text(encoding="utf-8").splitlines() if ids_path.exists() else ["-"] * rows
+    if len(ids) != rows:
+        raise MatrixFormatError(f"{ids_path}: {len(ids)} accessions for {rows} matrix rows")
+    return FeatureMatrix(x, y, ids)

@@ -22,18 +22,6 @@ RBD_WEIGHT = 5.0
 PHYSIOLOGICAL_PH = 7.4
 
 GLOBAL_DESCRIPTOR_LENGTH = 29
-RESIDUE_COLUMNS = (
-    "polarity_norm",
-    "isoelectric_point_norm",
-    "hydrophobicity_norm",
-    "is_polar",
-    "is_charged",
-    "is_aromatic",
-    "is_aliphatic",
-    "ss_helix",
-    "ss_strand",
-    "ss_coil",
-)
 
 _AA_INDEX = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import FeatureVector, smote, to_arrays
+from .dataset import FeatureMatrix, smote
 from .network import (
     AdamState,
     Architecture,
@@ -158,7 +158,7 @@ class CrossValResult:
 
 
 def cross_validate(
-    vectors: list[FeatureVector],
+    m: FeatureMatrix,
     k: int,
     config: TrainConfig,
     specs: list[LayerSpec],
@@ -168,18 +168,12 @@ def cross_validate(
     only, and the held-out part is scored with the support-weighted F1."""
     from .evaluation import evaluate_scores
 
-    labels = np.array([v.label for v in vectors], dtype=np.uint8)
-    width = int(vectors[0].values.shape[0])
     scores = []
-    for fold_idx, (train_idx, val_idx) in enumerate(stratified_folds(labels, k, config.seed)):
-        balanced = smote(
-            [vectors[i] for i in train_idx], k=smote_k, seed=config.seed * 1000 + fold_idx
-        )
-        xb, yb = to_arrays(balanced)
-        xv, yv = to_arrays([vectors[i] for i in val_idx])
-        net = Network(width, specs, seed=config.seed + fold_idx)
-        train(net, xb, yb, config)
-        report = evaluate_scores(yv, net.predict_scores(xv))
+    for fold_idx, (train_idx, val_idx) in enumerate(stratified_folds(m.y, k, config.seed)):
+        balanced = smote(m.take(train_idx), k=smote_k, seed=config.seed * 1000 + fold_idx)
+        net = Network(m.x.shape[1], specs, seed=config.seed + fold_idx)
+        train(net, balanced.x, balanced.y, config)
+        report = evaluate_scores(m.y[val_idx], net.predict_scores(m.x[val_idx]))
         scores.append(report.prf_by_convention["weighted"].f1)
     mean = float(np.mean(scores))
     return CrossValResult(fold_f1=scores, mean_f1=mean, std_f1=float(np.std(scores)))
@@ -330,7 +324,7 @@ class Trial:
 def random_search(
     space: SearchSpace,
     n_trials: int,
-    vectors: list[FeatureVector],
+    m: FeatureMatrix,
     config: TrainConfig,
     base: Architecture,
     cv_k: int = 5,
@@ -345,7 +339,7 @@ def random_search(
         raise ValueError("n_trials must be >= 1")
     rng = np.random.default_rng(config.seed)
     all_hp = list(fixed_trials or []) + [sample_hyperparams(space, rng) for _ in range(n_trials)]
-    width = int(vectors[0].values.shape[0])
+    width = m.x.shape[1]
     trials: list[Trial] = []
     for idx, hp in enumerate(all_hp):
         trial = Trial(index=idx, hyperparams=hp)
@@ -357,7 +351,7 @@ def random_search(
                 learning_rate=float(hp.get("learning_rate", config.learning_rate)),
                 seed=config.seed + idx,
             )
-            result = cross_validate(vectors, cv_k, trial_config, specs=specs, smote_k=smote_k)
+            result = cross_validate(m, cv_k, trial_config, specs=specs, smote_k=smote_k)
             trial.fold_f1 = result.fold_f1
             trial.mean_f1 = result.mean_f1
             trial.std_f1 = result.std_f1

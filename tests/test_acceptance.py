@@ -17,7 +17,7 @@ from helpers import (
     scaled_stack,
     separable_blobs,
 )
-from spikesev.dataset import FeatureVector, smote, stratified_split
+from spikesev.dataset import FeatureMatrix, smote, stratified_split
 from spikesev.evaluation import basic_rates, confusion, prf, roc_auc
 from spikesev.gradcheck import run_gradient_checks
 from spikesev.ingest import Severity, normalize_status
@@ -109,18 +109,15 @@ def test_criterion_3_gradient_correctness():
 # 4. Split fidelity
 
 
-def _reference_cohort_vectors() -> list[FeatureVector]:
+def _reference_cohort_matrix() -> FeatureMatrix:
     rng = np.random.default_rng(17)
-    vectors = []
-    for i in range(2313):
-        vectors.append(FeatureVector(rng.normal(size=4).astype(np.float32), 0, f"S{i}"))
-    for i in range(1154):
-        vectors.append(FeatureVector(rng.normal(size=4).astype(np.float32), 1, f"M{i}"))
-    return vectors
+    x = np.stack([rng.normal(size=4) for _ in range(2313 + 1154)])
+    ids = [f"S{i}" for i in range(2313)] + [f"M{i}" for i in range(1154)]
+    return FeatureMatrix(x, [0] * 2313 + [1] * 1154, ids)
 
 
 def test_criterion_4_split_sizes():
-    split = stratified_split(_reference_cohort_vectors(), 0.8, seed=123)
+    split = stratified_split(_reference_cohort_matrix(), 0.8, seed=123)
     ok = len(split.test) == 694 and len(split.train) == 2773
     _report("4 split fidelity: test size", ok, f"test={len(split.test)}")
     assert len(split.test) == 694
@@ -137,8 +134,8 @@ def test_criterion_4_split_class_marginals():
     any stratified 80/20 split of these counts; this check records that
     discrepancy rather than hiding it.
     """
-    split = stratified_split(_reference_cohort_vectors(), 0.8, seed=123)
-    counts = Counter(v.label for v in split.test)
+    split = stratified_split(_reference_cohort_matrix(), 0.8, seed=123)
+    counts = Counter(split.test.y.tolist())
     ok = abs(counts[0] - 467) <= 1 and abs(counts[1] - 227) <= 1
     _report(
         "4 split fidelity: class counts within 1 of 467/227", ok,
@@ -165,28 +162,30 @@ def test_criterion_5_smote_properties():
         if n_min + n_maj > 200:
             n_maj = 200 - n_min
         k = int(rng.integers(1, 6))
-        vectors = []
-        for i in range(n_maj):
-            vectors.append(FeatureVector(rng.normal(size=d).astype(np.float32), 0, f"maj{i}"))
-        for i in range(n_min):
-            vectors.append(FeatureVector(rng.normal(size=d).astype(np.float32), 1, f"min{i}"))
-        balanced = smote(vectors, k=k, seed=trial)
+        x = np.stack([rng.normal(size=d) for _ in range(n_maj + n_min)])
+        ids = [f"maj{i}" for i in range(n_maj)] + [f"min{i}" for i in range(n_min)]
+        m = FeatureMatrix(x, [0] * n_maj + [1] * n_min, ids)
+        balanced = smote(m, k=k, seed=trial)
 
-        counts = Counter(v.label for v in balanced)
+        counts = Counter(balanced.y.tolist())
         assert counts[0] == counts[1] == n_maj, "classes must balance exactly"
-        for original, kept in zip(vectors, balanced):
-            assert kept is original, "originals must pass through unchanged"
-        synthetics = balanced[len(vectors):]
-        assert all(v.label == 1 for v in synthetics)
+        n = len(m)
+        assert (
+            balanced.x[:n].tobytes() == m.x.tobytes()
+            and balanced.y[:n].tolist() == m.y.tolist()
+            and balanced.ids[:n] == m.ids
+        ), "originals must pass through unchanged"
+        synthetics = balanced.x[n:]
+        assert (balanced.y[n:] == 1).all()
 
         # brute-force segment verification
-        minority = np.stack([v.values for v in vectors if v.label == 1]).astype(np.float64)
+        minority = m.x[m.y == 1].astype(np.float64)
         k_eff = min(k, n_min - 1)
         dists = np.sqrt(((minority[:, None] - minority[None, :]) ** 2).sum(-1))
         np.fill_diagonal(dists, np.inf)
         neighbors = np.argsort(dists, axis=1)[:, :k_eff]
         max_dev = 0.0
-        for s in (v.values.astype(np.float64) for v in synthetics):
+        for s in synthetics.astype(np.float64):
             best = np.inf
             for i in range(n_min):
                 for j in neighbors[i]:

@@ -1,10 +1,14 @@
+import hashlib
+
 import pytest
 
 from helpers import cohort_fixture_texts, separable_blobs
 from spikesev import dataset
+from spikesev.checkpoint import save_checkpoint
 from spikesev.cli import main
 from spikesev.ingest import Severity, SpikeRecord, read_cohort, write_cohort
-from spikesev.network import Architecture, param_count
+from spikesev.network import Architecture, Network, param_count
+from spikesev.scales import default_registry
 
 TINY_CONFIG = """
 n_model = 600
@@ -52,9 +56,8 @@ class TestPipeline:
 
         assert main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
                      "--workdir", str(wd)]) == 0
-        vectors = dataset.read_matrix(wd / "features.mat")
-        assert len(vectors) == 40
-        assert vectors[0].values.shape == (600,)
+        features = dataset.read_matrix(wd / "features.mat")
+        assert features.x.shape == (40, 600)
         assert "registry_hash" in (wd / "codebook.tsv").read_text()
 
         assert main(["split", "--matrix", str(wd / "features.mat"), "--workdir", str(wd),
@@ -66,7 +69,7 @@ class TestPipeline:
         assert main(["balance", "--matrix", str(wd / "train.mat"), "--workdir", str(wd),
                      "--k", "3", "--seed", "2"]) == 0
         balanced = dataset.read_matrix(wd / "balanced.mat")
-        labels = [v.label for v in balanced]
+        labels = balanced.y.tolist()
         assert labels.count(0) == labels.count(1)
 
         assert main(["train", "--config", str(cfg), "--matrix", str(wd / "balanced.mat"),
@@ -114,11 +117,8 @@ class TestPipeline:
 
     def test_train_then_evaluate_learns_separable_data(self, tmp_path, capsys):
         x, y = separable_blobs(n=240, length=160, seed=9)
-        vectors = [
-            dataset.FeatureVector(values=x[i], label=int(y[i]), accession=f"S{i}")
-            for i in range(len(y))
-        ]
-        split = dataset.stratified_split(vectors, 0.8, seed=0)
+        blobs = dataset.FeatureMatrix(x, y, [f"S{i}" for i in range(len(y))])
+        split = dataset.stratified_split(blobs, 0.8, seed=0)
         wd = tmp_path / "wd"
         wd.mkdir()
         dataset.write_matrix(split.train, wd / "train.mat")
@@ -184,12 +184,35 @@ class TestExitCodes:
         main(["train", "--config", str(cfg), "--matrix", str(wd / "features.mat"),
               "--workdir", str(wd)])
         x, y = separable_blobs(n=8, length=40, seed=1)
-        other = [dataset.FeatureVector(values=x[i], label=int(y[i])) for i in range(8)]
-        dataset.write_matrix(other, wd / "other.mat")
+        dataset.write_matrix(dataset.FeatureMatrix(x, y, ["-"] * 8), wd / "other.mat")
         code = main(["evaluate", "--config", str(cfg), "--checkpoint", str(wd / "model.ckpt"),
                      "--matrix", str(wd / "other.mat"), "--workdir", str(wd)])
         assert code == 2
         assert "width" in capsys.readouterr().err
+
+    def test_sidecar_of_another_row_count_is_input_error(self, tmp_path, fixture_files, capsys):
+        fasta, meta, cfg = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+              "--workdir", str(wd)])
+        ids = wd / "features.ids"
+        ids.write_text("".join(ids.read_text().splitlines(keepends=True)[:-1]))
+        code = main(["split", "--matrix", str(wd / "features.mat"), "--workdir", str(wd)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (wd / "train.mat").exists()
+
+    def test_checkpoint_without_seed_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Network(64, seed=3), path, default_registry().content_hash)
+        blob = path.read_bytes()
+        assert blob.count(b'"seed":3}') == 1
+        path.write_bytes(blob.replace(b'"seed":3}', b'"sead":3}'))
+        code = main(["evaluate", "--checkpoint", str(path), "--matrix", str(tmp_path / "x.mat"),
+                     "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -251,6 +274,33 @@ class TestSearchCommand:
             assert fields["status"] == "ok"
             assert fields["param_count"] == str(param_count(arch.specs(), 600))
         capsys.readouterr()
+
+
+def test_prep_stage_outputs_pinned(tmp_path, fixture_files, capsys):
+    """sha256 of every matrix and sidecar that featurize, split and balance
+    write for the fixture cohort, recorded with numpy 2.4 on x86-64."""
+    fasta, meta, cfg = fixture_files
+    wd = tmp_path / "w"
+    main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+    assert main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+                 "--workdir", str(wd)]) == 0
+    assert main(["split", "--matrix", str(wd / "features.mat"), "--workdir", str(wd),
+                 "--ratio", "0.8", "--seed", "1"]) == 0
+    assert main(["balance", "--matrix", str(wd / "train.mat"), "--workdir", str(wd),
+                 "--k", "3", "--seed", "2"]) == 0
+    expected = {
+        "features.mat": "8387bb999f42083c3a18ca8832036b2795f7976d318741e8b0a4e68d792e7734",
+        "features.ids": "ac175f3b7f60f54d5901a4924e99460dd680bbbd63693edd46c6d4b6b4b029e6",
+        "train.mat": "73cc6228037eb5e9885f0546e621abc701e14f12c9367f0c6e3e4cd0b73ede0f",
+        "train.ids": "d04498fd74f9d85d1bf35f8984b5995ae5def9106b1b8554259bcb1e05787c2a",
+        "test.mat": "2277240b167f7b0a989290125b180a599cbffa6e46f0a45d98ca2f04ae56b099",
+        "test.ids": "108cb099bcea35277dfab4b13515fcff9b17896812a6ff8719dc687746c664a3",
+        "balanced.mat": "4636c6ade8759d053a9c6617a4621e6c8f5bd605d81dca56221971968f68b89e",
+        "balanced.ids": "07ebf898eb007f71d2698c9f9dbad8a014d4448b9b1bfaa5c289cb3e46ad0ae8",
+    }
+    got = {name: hashlib.sha256((wd / name).read_bytes()).hexdigest() for name in expected}
+    assert got == expected
+    capsys.readouterr()
 
 
 def test_parallel_featurize_is_bit_identical(tmp_path, fixture_files, capsys):

@@ -5,22 +5,21 @@ from helpers import cohort_fixture_texts, random_sequence
 from spikesev.dataset import (
     BlockWeights,
     CovariateCodebook,
+    FeatureMatrix,
     FeatureVector,
     MatrixFormatError,
     assemble,
     encode_covariates,
     fit_codebook,
-    read_accessions,
     read_matrix,
     smote,
     stratified_split,
     to_arrays,
-    write_accessions,
     write_matrix,
 )
 from spikesev.ingest import Severity, SpikeRecord, build_cohort, parse_fasta, parse_metadata
 from spikesev.scales import default_registry
-from spikesev.seqfeatures import GLOBAL_DESCRIPTOR_LENGTH
+from spikesev.seqfeatures import GLOBAL_DESCRIPTOR_LENGTH, global_descriptors, residue_encoding
 
 REG = default_registry()
 
@@ -85,12 +84,18 @@ class TestAssemble:
         cb = fit_codebook(records)
         n_model = GLOBAL_DESCRIPTOR_LENGTH + 50 + cb.width + 17
         fv = assemble(records[0], REG, cb, n_model)
-        g, r, c, p = fv.layout.global_block, fv.layout.residue_block, fv.layout.covariate_block, fv.layout.padding_block
-        assert g == (0, 29)
-        assert r == (29, 79)
-        assert c == (79, 79 + cb.width)
-        assert p == (79 + cb.width, n_model)
-        assert (fv.values[p[0] :] == 0.0).all()
+        # each block sits where the sizes of the blocks before it put it
+        blocks = [
+            global_descriptors(records[0].sequence, REG).to_vector(),
+            residue_encoding(records[0].sequence, REG).matrix.reshape(-1),
+            encode_covariates(records[0], cb),
+        ]
+        ends = np.cumsum([b.size for b in blocks]).tolist()
+        assert ends == [29, 79, 79 + cb.width]
+        assert n_model - ends[-1] == 17
+        for block, start, end in zip(blocks, [0, *ends], ends):
+            np.testing.assert_array_equal(fv.values[start:end], block.astype(np.float32))
+        assert (fv.values[ends[-1] :] == 0.0).all()
         assert not fv.truncated
         assert fv.label == 1
 
@@ -141,123 +146,117 @@ class TestAssemble:
         assert a.values.tobytes() == b.values.tobytes()
 
 
-def _vectors(n0: int, n1: int, dim: int = 6, seed: int = 0) -> list[FeatureVector]:
+def _matrix(n0: int, n1: int, dim: int = 6, seed: int = 0) -> FeatureMatrix:
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n0 + n1):
-        label = 0 if i < n0 else 1
-        out.append(
-            FeatureVector(
-                values=rng.normal(size=dim).astype(np.float32),
-                label=label,
-                accession=f"ID{i:03d}",
-            )
-        )
-    return out
+    x = np.stack([rng.normal(size=dim) for _ in range(n0 + n1)])
+    return FeatureMatrix(x, [0] * n0 + [1] * n1, [f"ID{i:03d}" for i in range(n0 + n1)])
+
+
+def _count(m: FeatureMatrix, label: int) -> int:
+    return int((m.y == label).sum())
 
 
 class TestStratifiedSplit:
     def test_reference_cohort_sizes(self):
-        vectors = _vectors(2313, 1154, dim=2)
-        split = stratified_split(vectors, 0.8, seed=5)
+        split = stratified_split(_matrix(2313, 1154, dim=2), 0.8, seed=5)
         assert len(split.test) == 694
         assert len(split.train) == 2773
 
     def test_per_class_floor_rule(self):
-        vectors = _vectors(11, 5)
-        split = stratified_split(vectors, 0.8, seed=1)
-        train_counts = [sum(1 for v in split.train if v.label == c) for c in (0, 1)]
+        split = stratified_split(_matrix(11, 5), 0.8, seed=1)
+        train_counts = [_count(split.train, c) for c in (0, 1)]
         assert train_counts == [8, 4]
 
     def test_deterministic_membership(self):
-        vectors = _vectors(20, 12)
-        a = stratified_split(vectors, 0.8, seed=9)
-        b = stratified_split(vectors, 0.8, seed=9)
-        assert [v.accession for v in a.train] == [v.accession for v in b.train]
-        assert [v.accession for v in a.test] == [v.accession for v in b.test]
+        m = _matrix(20, 12)
+        a = stratified_split(m, 0.8, seed=9)
+        b = stratified_split(m, 0.8, seed=9)
+        assert a.train.ids == b.train.ids
+        assert a.test.ids == b.test.ids
 
     def test_disjoint_and_union_by_accession(self):
-        vectors = _vectors(17, 9)
-        split = stratified_split(vectors, 0.75, seed=3)
-        train_ids = {v.accession for v in split.train}
-        test_ids = {v.accession for v in split.test}
+        m = _matrix(17, 9)
+        split = stratified_split(m, 0.75, seed=3)
+        train_ids, test_ids = set(split.train.ids), set(split.test.ids)
         assert not train_ids & test_ids
-        assert train_ids | test_ids == {v.accession for v in vectors}
+        assert train_ids | test_ids == set(m.ids)
+
+    def test_parts_take_rows_with_their_labels(self):
+        m = _matrix(17, 9)
+        split = stratified_split(m, 0.75, seed=3)
+        for part in (split.train, split.test):
+            idx = [m.ids.index(a) for a in part.ids]
+            assert idx == sorted(idx)
+            assert part.x.tobytes() == m.x[idx].tobytes()
+            assert part.y.tolist() == m.y[idx].tolist()
 
     def test_class_proportions_within_one_sample(self):
         # exhaustive check over a grid of small cohorts
         for n0 in range(2, 14):
             for n1 in range(2, 14):
-                vectors = _vectors(n0, n1, dim=2, seed=n0 * 31 + n1)
-                split = stratified_split(vectors, 0.8, seed=0)
+                m = _matrix(n0, n1, dim=2, seed=n0 * 31 + n1)
+                split = stratified_split(m, 0.8, seed=0)
                 for part in (split.train, split.test):
-                    frac = len(part) / len(vectors)
+                    frac = len(part) / len(m)
                     for label, n_class in ((0, n0), (1, n1)):
-                        got = sum(1 for v in part if v.label == label)
+                        got = _count(part, label)
                         assert abs(got - frac * n_class) <= 1.0
 
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError, match="class"):
-            stratified_split(_vectors(5, 0), 0.8, seed=0)
+            stratified_split(_matrix(5, 0), 0.8, seed=0)
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.1, 1.5])
     def test_ratio_bounds(self, ratio):
         with pytest.raises(ValueError, match="ratio"):
-            stratified_split(_vectors(4, 4), ratio, seed=0)
+            stratified_split(_matrix(4, 4), ratio, seed=0)
 
 
 class TestSmote:
     def test_one_dimensional_convex_bound(self):
-        vectors = [
-            FeatureVector(np.array([0.0], dtype=np.float32), 1),
-            FeatureVector(np.array([1.0], dtype=np.float32), 1),
-            FeatureVector(np.array([5.0], dtype=np.float32), 0),
-            FeatureVector(np.array([6.0], dtype=np.float32), 0),
-            FeatureVector(np.array([7.0], dtype=np.float32), 0),
-            FeatureVector(np.array([8.0], dtype=np.float32), 0),
-        ]
-        balanced = smote(vectors, k=1, seed=0)
-        synth = [v for v in balanced if v.accession and v.accession.startswith("synthetic")]
+        m = FeatureMatrix([[0.0], [1.0], [5.0], [6.0], [7.0], [8.0]], [1, 1, 0, 0, 0, 0], ["-"] * 6)
+        balanced = smote(m, k=1, seed=0)
+        synth = [i for i, a in enumerate(balanced.ids) if a.startswith("synthetic")]
         assert len(synth) == 2
-        for v in synth:
-            assert 0.0 <= v.values[0] <= 1.0
-            assert v.label == 1
+        for i in synth:
+            assert 0.0 <= balanced.x[i, 0] <= 1.0
+            assert balanced.y[i] == 1
 
     def test_balances_counts(self):
-        vectors = _vectors(10, 4)
-        balanced = smote(vectors, k=3, seed=2)
-        counts = {c: sum(1 for v in balanced if v.label == c) for c in (0, 1)}
+        balanced = smote(_matrix(10, 4), k=3, seed=2)
+        counts = {c: _count(balanced, c) for c in (0, 1)}
         assert counts == {0: 10, 1: 10}
 
     def test_majority_and_minority_originals_unchanged(self):
-        vectors = _vectors(9, 4)
-        balanced = smote(vectors, k=2, seed=7)
-        for original, kept in zip(vectors, balanced):
-            assert kept is original
+        m = _matrix(9, 4)
+        balanced = smote(m, k=2, seed=7)
+        assert balanced.x[: len(m)].tobytes() == m.x.tobytes()
+        assert balanced.y[: len(m)].tolist() == m.y.tolist()
+        assert balanced.ids[: len(m)] == m.ids
+        assert balanced.ids[len(m) :] == tuple(f"synthetic-{i}" for i in range(5))
 
     def test_balanced_input_is_identity_on_counts(self):
-        vectors = _vectors(6, 6)
-        assert smote(vectors, k=3, seed=1) == vectors
+        m = _matrix(6, 6)
+        balanced = smote(m, k=3, seed=1)
+        assert balanced.x.tobytes() == m.x.tobytes()
+        assert balanced.y.tolist() == m.y.tolist() and balanced.ids == m.ids
 
     def test_minority_too_small(self):
-        vectors = _vectors(5, 1)
         with pytest.raises(ValueError, match="minority"):
-            smote(vectors, k=3, seed=0)
+            smote(_matrix(5, 1), k=3, seed=0)
 
     def test_deterministic(self):
-        vectors = _vectors(12, 5, dim=4)
-        a = smote(vectors, k=3, seed=42)
-        b = smote(vectors, k=3, seed=42)
-        assert all(x.values.tobytes() == y.values.tobytes() for x, y in zip(a, b))
+        m = _matrix(12, 5, dim=4)
+        a = smote(m, k=3, seed=42)
+        b = smote(m, k=3, seed=42)
+        assert a.x.tobytes() == b.x.tobytes()
 
     def test_synthetics_lie_on_neighbor_segments(self):
-        vectors = _vectors(30, 11, dim=8, seed=3)
+        m = _matrix(30, 11, dim=8, seed=3)
         k = 4
-        balanced = smote(vectors, k=k, seed=3)
-        minority = np.stack([v.values for v in vectors if v.label == 1]).astype(np.float64)
-        synth = np.stack(
-            [v.values for v in balanced[len(vectors):]]
-        ).astype(np.float64)
+        balanced = smote(m, k=k, seed=3)
+        minority = m.x[m.y == 1].astype(np.float64)
+        synth = balanced.x[len(m) :].astype(np.float64)
         dists = np.sqrt(((minority[:, None] - minority[None, :]) ** 2).sum(-1))
         np.fill_diagonal(dists, np.inf)
         neighbors = np.argsort(dists, axis=1)[:, :k]
@@ -274,20 +273,20 @@ class TestSmote:
 
 class TestMatrixIO:
     def test_round_trip_bit_exact(self, tmp_path):
-        vectors = _vectors(5, 3, dim=7, seed=1)
+        m = _matrix(5, 3, dim=7, seed=1)
         path = tmp_path / "m.mat"
-        write_matrix(vectors, path)
+        write_matrix(m, path)
         first = path.read_bytes()
         restored = read_matrix(path)
-        assert [v.label for v in restored] == [v.label for v in vectors]
-        for a, b in zip(restored, vectors):
-            assert a.values.tobytes() == b.values.tobytes()
+        assert restored.y.tolist() == m.y.tolist()
+        assert restored.x.tobytes() == m.x.tobytes()
+        assert restored.ids == m.ids
         write_matrix(restored, path)
         assert path.read_bytes() == first
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "m.mat"
-        write_matrix(_vectors(2, 2), path)
+        write_matrix(_matrix(2, 2), path)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -296,27 +295,64 @@ class TestMatrixIO:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m.mat"
-        write_matrix(_vectors(2, 2), path)
+        write_matrix(_matrix(2, 2), path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(MatrixFormatError, match="truncated"):
             read_matrix(path)
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "m.mat"
-        write_matrix(_vectors(2, 2), path)
+        write_matrix(_matrix(2, 2), path)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(MatrixFormatError, match="inconsistent"):
             read_matrix(path)
 
     def test_accession_sidecar(self, tmp_path):
-        vectors = _vectors(3, 2)
-        path = tmp_path / "m.ids"
-        write_accessions(vectors, path)
-        assert read_accessions(path) == [v.accession for v in vectors]
+        m = _matrix(3, 2)
+        write_matrix(m, tmp_path / "m.mat")
+        assert (tmp_path / "m.ids").read_text() == "ID000\nID001\nID002\nID003\nID004\n"
+        assert read_matrix(tmp_path / "m.mat").ids == m.ids
+
+    def test_unknown_accession_written_as_dash(self, tmp_path):
+        rows = [FeatureVector(np.zeros(3, dtype=np.float32), 0),
+                FeatureVector(np.ones(3, dtype=np.float32), 1, "EPI1")]
+        write_matrix(rows, tmp_path / "m.mat")
+        assert (tmp_path / "m.ids").read_text() == "-\nEPI1\n"
+
+    def test_missing_sidecar_reads_as_dashes(self, tmp_path):
+        write_matrix(_matrix(2, 2), tmp_path / "m.mat")
+        (tmp_path / "m.ids").unlink()
+        assert read_matrix(tmp_path / "m.mat").ids == ("-",) * 4
+
+    @pytest.mark.parametrize("lines", [3, 5])
+    def test_sidecar_row_count_mismatch_refused(self, tmp_path, lines):
+        write_matrix(_matrix(2, 2), tmp_path / "m.mat")
+        (tmp_path / "m.ids").write_text("".join(f"A{i}\n" for i in range(lines)))
+        with pytest.raises(MatrixFormatError, match=f"{lines} accessions for 4 matrix rows"):
+            read_matrix(tmp_path / "m.mat")
+
+    def test_label_outside_zero_one_refused(self, tmp_path):
+        path = tmp_path / "m.mat"
+        write_matrix(_matrix(2, 2), path)
+        path.write_bytes(path.read_bytes()[:-1] + b"\x02")
+        with pytest.raises(MatrixFormatError, match="labels"):
+            read_matrix(path)
 
 
 def test_to_arrays_shapes_and_dtypes():
-    x, y = to_arrays(_vectors(3, 4, dim=5))
+    x, y = to_arrays(_matrix(3, 4, dim=5))
     assert x.shape == (7, 5) and x.dtype == np.float32
     assert y.shape == (7,) and y.dtype == np.uint8
     assert y.tolist() == [0, 0, 0, 1, 1, 1, 1]
+
+
+class TestFeatureMatrix:
+    def test_stack_keeps_row_order(self):
+        rows = [FeatureVector(np.full(2, i, dtype=np.float32), i % 2, f"R{i}") for i in range(3)]
+        m = FeatureMatrix.stack(rows)
+        assert m.x.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+        assert m.y.tolist() == [0, 1, 0] and m.ids == ("R0", "R1", "R2")
+
+    def test_misaligned_parts_refused(self):
+        with pytest.raises(ValueError, match="align"):
+            FeatureMatrix(np.zeros((3, 2)), [0, 1, 0], ["a", "b"])

@@ -304,14 +304,32 @@ def _name_block(name: str) -> bytes:
     return struct.pack("<I", len(name)) + name.encode()
 
 
-def _rewrite_layers(path, edit) -> None:
-    """Apply `edit` to the layer list of a checkpoint's architecture JSON."""
+def _rewrite_architecture(path, rewrite) -> None:
+    """Replace a checkpoint's architecture block by `rewrite(arch)`'s bytes."""
     blob = path.read_bytes()
     (n,) = struct.unpack_from("<I", blob, 12)
-    arch = json.loads(blob[16 : 16 + n])
-    edit(arch["layers"])
-    new = json.dumps(arch).encode()
+    new = rewrite(json.loads(blob[16 : 16 + n]))
     path.write_bytes(blob[:12] + struct.pack("<I", len(new)) + new + blob[16 + n :])
+
+
+def _rewrite_layers(path, edit) -> None:
+    """Apply `edit` to the layer list of a checkpoint's architecture JSON."""
+
+    def rewrite(arch):
+        edit(arch["layers"])
+        return json.dumps(arch).encode()
+
+    _rewrite_architecture(path, rewrite)
+
+
+def _json_with(**changes):
+    """A rewrite that sets (or, with None, drops) top-level keys."""
+
+    def rewrite(arch):
+        arch.update(changes)
+        return json.dumps({k: v for k, v in arch.items() if v is not None}).encode()
+
+    return rewrite
 
 
 class TestCheckpointLoaderRefuses:
@@ -355,6 +373,37 @@ class TestCheckpointLoaderRefuses:
         _twin_dense_checkpoint(path)
         _rewrite_layers(path, edit)
         with pytest.raises(CheckpointError, match="dense layer"):
+            load_checkpoint(path)
+
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            _json_with(seed=None),
+            _json_with(input_length=None),
+            _json_with(layers=None),
+            _json_with(version=2),
+            lambda arch: json.dumps([arch]).encode(),
+            lambda arch: json.dumps(arch).encode()[:-1],
+            lambda arch: b"\xff" + json.dumps(arch).encode(),
+            _json_with(input_length="20"),
+            _json_with(input_length=20.0),
+            _json_with(seed=2.5),
+            _json_with(seed=True),
+            _json_with(layers="dense"),
+            lambda arch: json.dumps({**arch, "layers": [*arch["layers"], 3]}).encode(),
+        ],
+        ids=[
+            "missing-seed", "missing-input-length", "missing-layers", "extra-key", "not-an-object",
+            "invalid-json", "not-utf8", "str-input-length", "float-input-length",
+            "float-seed", "bool-seed", "str-layers", "int-layer",
+        ],
+    )
+    def test_malformed_architecture_block(self, tmp_path, rewrite):
+        path = tmp_path / "m.ckpt"
+        _twin_dense_checkpoint(path)
+        _rewrite_architecture(path, rewrite)
+        with pytest.raises(CheckpointError, match="architecture"):
             load_checkpoint(path)
 
 

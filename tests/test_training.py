@@ -5,7 +5,7 @@ import pytest
 
 import spikesev.training as training_module
 from helpers import best_threshold_accuracy, scaled_stack, separable_blobs
-from spikesev.dataset import FeatureVector
+from spikesev.dataset import FeatureMatrix
 from spikesev.network import Architecture, Network, default_architecture, param_count
 from spikesev.training import (
     Choice,
@@ -28,12 +28,9 @@ from spikesev.training import (
 TINY = dict(n_stages=1, filters=4, lstm_units=8, dense_units=8)
 
 
-def _blob_vectors(n=60, length=40, seed=5):
+def _blob_matrix(n=60, length=40, seed=5):
     x, y = separable_blobs(n=n, length=length, seed=seed)
-    return [
-        FeatureVector(values=x[i], label=int(y[i]), accession=f"R{i:03d}")
-        for i in range(n)
-    ]
+    return FeatureMatrix(x, y, [f"R{i:03d}" for i in range(n)])
 
 
 class TestTrainConfig:
@@ -131,41 +128,40 @@ class TestStratifiedFolds:
 
 class TestCrossValidate:
     def test_separable_set_scores_high(self):
-        vectors = _blob_vectors(n=60, length=40)
+        m = _blob_matrix(n=60, length=40)
         # independent separability oracle: one thresholded coordinate suffices
-        x = np.stack([v.values for v in vectors])
-        y = np.array([v.label for v in vectors], dtype=np.uint8)
-        assert best_threshold_accuracy(x[:, 0], y) >= 0.95
+        assert best_threshold_accuracy(m.x[:, 0], m.y) >= 0.95
         config = TrainConfig(epochs=8, seed=4, batch_size=16, learning_rate=3e-3)
-        result = cross_validate(vectors, 3, config, specs=scaled_stack(**TINY), smote_k=3)
+        result = cross_validate(m, 3, config, specs=scaled_stack(**TINY), smote_k=3)
         assert isinstance(result, CrossValResult)
         assert len(result.fold_f1) == 3
         assert result.mean_f1 >= 0.95
 
     def test_balancing_stays_inside_the_fold(self, monkeypatch):
-        vectors = _blob_vectors(n=30, length=40)
+        m = _blob_matrix(n=30, length=40)
         calls = []
         real_smote = training_module.smote
 
-        def spy(train_vectors, k, seed):
-            calls.append(list(train_vectors))
-            return real_smote(train_vectors, k=k, seed=seed)
+        def spy(fold_train, k, seed):
+            calls.append(fold_train)
+            return real_smote(fold_train, k=k, seed=seed)
 
         monkeypatch.setattr(training_module, "smote", spy)
         config = TrainConfig(epochs=1, seed=0, batch_size=16)
-        cross_validate(vectors, 3, config, specs=scaled_stack(**TINY), smote_k=2)
+        cross_validate(m, 3, config, specs=scaled_stack(**TINY), smote_k=2)
         assert len(calls) == 3
-        originals = {id(v) for v in vectors}
         for fold_train in calls:
-            # balancing only ever sees original training vectors
-            assert {id(v) for v in fold_train} <= originals
+            # balancing only ever sees original training rows
+            idx = [m.ids.index(a) for a in fold_train.ids]
+            assert fold_train.x.tobytes() == m.x[idx].tobytes()
+            assert fold_train.y.tolist() == m.y[idx].tolist()
             assert len(fold_train) == 20
 
     def test_fold_membership_deterministic(self):
-        vectors = _blob_vectors(n=30, length=40)
+        m = _blob_matrix(n=30, length=40)
         config = TrainConfig(epochs=1, seed=9, batch_size=16)
-        a = cross_validate(vectors, 2, config, specs=scaled_stack(**TINY), smote_k=2)
-        b = cross_validate(vectors, 2, config, specs=scaled_stack(**TINY), smote_k=2)
+        a = cross_validate(m, 2, config, specs=scaled_stack(**TINY), smote_k=2)
+        b = cross_validate(m, 2, config, specs=scaled_stack(**TINY), smote_k=2)
         assert a == b
 
 
@@ -186,9 +182,9 @@ SMALL_SPACE = {
 
 class TestRandomSearch:
     def test_single_trial_is_best(self):
-        vectors = _blob_vectors(n=40, length=200, seed=8)
+        m = _blob_matrix(n=40, length=200, seed=8)
         config = TrainConfig(epochs=1, seed=2, batch_size=16)
-        trials = random_search(SMALL_SPACE, 1, vectors, config, Architecture(), cv_k=2, smote_k=2)
+        trials = random_search(SMALL_SPACE, 1, m, config, Architecture(), cv_k=2, smote_k=2)
         assert len(trials) == 1
         assert trials[0].status == "ok"
         assert trials[0].mean_f1 is not None
@@ -201,27 +197,27 @@ class TestRandomSearch:
         assert draws_a == draws_b
 
     def test_failing_shapes_recorded_not_fatal(self):
-        vectors = _blob_vectors(n=30, length=40)
+        m = _blob_matrix(n=30, length=40)
         bad_space = dict(SMALL_SPACE)
         bad_space["kernel_size"] = Choice((50,))  # cannot fit a length-40 input
         config = TrainConfig(epochs=1, seed=1, batch_size=16)
-        trials = random_search(bad_space, 2, vectors, config, Architecture(), cv_k=2, smote_k=2)
+        trials = random_search(bad_space, 2, m, config, Architecture(), cv_k=2, smote_k=2)
         assert all(t.status == "failed" for t in trials)
         assert all(t.error for t in trials)
 
     def test_ranking_by_f1_then_param_count(self):
-        vectors = _blob_vectors(n=40, length=200, seed=8)
+        m = _blob_matrix(n=40, length=200, seed=8)
         config = TrainConfig(epochs=1, seed=3, batch_size=16)
-        trials = random_search(SMALL_SPACE, 3, vectors, config, Architecture(), cv_k=2, smote_k=2)
+        trials = random_search(SMALL_SPACE, 3, m, config, Architecture(), cv_k=2, smote_k=2)
         ok = [t for t in trials if t.status == "ok"]
         for a, b in zip(ok, ok[1:]):
             assert (a.mean_f1, -a.n_params) >= (b.mean_f1, -b.n_params)
 
     def test_stock_configuration_as_fixed_trial(self):
-        vectors = _blob_vectors(n=24, length=512, seed=6)
+        m = _blob_matrix(n=24, length=512, seed=6)
         config = TrainConfig(epochs=1, seed=0, batch_size=12)
         trials = random_search(
-            SMALL_SPACE, 1, vectors, config, Architecture(), cv_k=2, smote_k=2,
+            SMALL_SPACE, 1, m, config, Architecture(), cv_k=2, smote_k=2,
             fixed_trials=[{}],
         )
         fixed = [t for t in trials if t.index == 0]
@@ -230,9 +226,9 @@ class TestRandomSearch:
         assert fixed[0].mean_f1 is not None
 
     def test_trial_table_output(self):
-        vectors = _blob_vectors(n=30, length=40)
+        m = _blob_matrix(n=30, length=40)
         config = TrainConfig(epochs=1, seed=1, batch_size=16)
-        trials = random_search(SMALL_SPACE, 2, vectors, config, Architecture(), cv_k=2, smote_k=2)
+        trials = random_search(SMALL_SPACE, 2, m, config, Architecture(), cv_k=2, smote_k=2)
         buf = io.StringIO()
         write_trials(trials, buf)
         lines = buf.getvalue().splitlines()
@@ -241,7 +237,7 @@ class TestRandomSearch:
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
-            random_search(SMALL_SPACE, 0, [], TrainConfig(epochs=1), Architecture())
+            random_search(SMALL_SPACE, 0, _blob_matrix(), TrainConfig(epochs=1), Architecture())
 
 
 class TestSearchSpaceParsing:
@@ -299,16 +295,16 @@ class TestSearchBase:
         assert specs == expected.specs()
 
     def test_index_beyond_the_base_stack_fails_the_trial(self):
-        vectors = _blob_vectors(n=30, length=40)
+        m = _blob_matrix(n=30, length=40)
         space = {"conv3_filters": Choice((4,)), "learning_rate": Range(1e-3, 2e-3)}
-        trials = random_search(space, 1, vectors, TrainConfig(epochs=1), self.BASE, cv_k=2, smote_k=2)
+        trials = random_search(space, 1, m, TrainConfig(epochs=1), self.BASE, cv_k=2, smote_k=2)
         assert trials[0].status == "failed"
         assert "conv3_filters" in trials[0].error
 
     def test_trial_parameter_count_is_the_base_architecture(self):
-        vectors = _blob_vectors(n=30, length=40)
+        m = _blob_matrix(n=30, length=40)
         space = {"learning_rate": Range(1e-3, 2e-3)}
         config = TrainConfig(epochs=1, batch_size=16)
-        trials = random_search(space, 1, vectors, config, self.BASE, cv_k=2, smote_k=2)
+        trials = random_search(space, 1, m, config, self.BASE, cv_k=2, smote_k=2)
         assert trials[0].status == "ok"
         assert trials[0].n_params == param_count(self.BASE.specs(), 40)
