@@ -8,33 +8,23 @@ Exit codes: 0 success, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import functools
-import multiprocessing
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import dataset, evaluation, ingest, training
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .gradcheck import run_gradient_checks
 from .network import Architecture, Network
-from .scales import RegistryError, ScalesRegistry, default_registry, load_registry
+from .scales import ScalesRegistry, default_registry, load_registry
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-_INPUT_ERRORS = (
-    ConfigError,
-    RegistryError,
-    ingest.FastaError,
-    ingest.MetadataError,
-    dataset.MatrixFormatError,
-    ckpt.CheckpointError,
-    FileNotFoundError,
-    ValueError,
-)
+# Every loader's own error (ConfigError, MatrixFormatError, ...) is a ValueError.
+_INPUT_ERRORS = (ValueError, FileNotFoundError)
 
 
 def _load_registry(cfg: RunConfig) -> ScalesRegistry:
@@ -65,15 +55,9 @@ def _detect_delimiter(cfg: RunConfig, path: str, text: str) -> str:
     return "\t" if "\t" in first else ","
 
 
-def _assembler(cfg: RunConfig, registry, codebook, n_model: int):
-    """`dataset.assemble` of one record with everything else fixed."""
-    weights = dataset.BlockWeights(
-        sequence=cfg.block_weight_sequence, covariates=cfg.block_weight_covariates
-    )
-    return functools.partial(
-        dataset.assemble, registry=registry, codebook=codebook, n_model=n_model,
-        block_weights=weights,
-    )
+def _assemble(cfg: RunConfig, records, registry, codebook, n_model: int) -> list:
+    weights = dataset.BlockWeights(cfg.block_weight_sequence, cfg.block_weight_covariates)
+    return [dataset.assemble(r, registry, codebook, n_model, weights) for r in records]
 
 
 def _train_config(cfg: RunConfig) -> training.TrainConfig:
@@ -137,12 +121,7 @@ def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to featurize")
     codebook = dataset.fit_codebook(records, age_binning=cfg.age_binning)
-    assemble = _assembler(cfg, registry, codebook, cfg.n_model)
-    if cfg.jobs > 1:
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            rows = pool.map(assemble, records, chunksize=32)
-    else:
-        rows = list(map(assemble, records))
+    rows = _assemble(cfg, records, registry, codebook, cfg.n_model)
     truncated = sum(1 for r in rows if r.truncated)
     if truncated:
         print(f"warning: residue block truncated for {truncated} record(s)", file=sys.stderr)
@@ -227,8 +206,7 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort
     records = ingest.read_cohort(cohort_path)
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to predict")
-    assemble = _assembler(cfg, registry, codebook, net.input_length)
-    rows = list(map(assemble, records))
+    rows = _assemble(cfg, records, registry, codebook, net.input_length)
     scores = net.predict_scores(dataset.FeatureMatrix.stack(rows).x)
     lines = ["accession\tscore\tpredicted_label\tpredicted_class"]
     for record, score in zip(records, scores):
@@ -271,8 +249,10 @@ def cmd_search(cfg: RunConfig, matrix_path: str, include_default: bool) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig) -> int:
+def cmd_gradcheck(cfg: RunConfig, record_config: bool) -> int:
     results, passed = run_gradient_checks(seed=cfg.train_seed)
+    if record_config:
+        _write_resolved(cfg, _workdir(cfg), "gradcheck")
     for r in results:
         print(f"{r.tensor}\t{r.rel_error:.3e}\t{'PASS' if r.passed else 'FAIL'}")
     print("gradient check:", "PASS" if passed else "FAIL")
@@ -309,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cohort", required=True)
     p.add_argument("--n-model", type=int, dest="n_model")
-    p.add_argument("--jobs", type=int)
 
     p = sub.add_parser("split", help="stratified train/test split of a matrix")
     _add_common(p)
@@ -364,18 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "workdir", "delimiter", "n_model", "jobs", "ratio", "split_seed", "smote_k",
-    "smote_seed", "epochs", "batch_size", "learning_rate", "lambda_l2", "train_seed",
-    "threshold", "search_space", "trials", "cv_k", "shuffle",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, overridden by every given flag whose dest
+    names a `RunConfig` field."""
     overrides = {
-        key: str(getattr(args, key))
-        for key in _CONFIG_KEYS
-        if getattr(args, key, None) is not None
+        f.name: str(getattr(args, f.name))
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
     }
     return load_config(args.config, overrides)
 
@@ -385,7 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         if args.command == "ingest":
-            cfg.apply({"fasta": args.fasta, "metadata": args.metadata})
             return cmd_ingest(cfg)
         if args.command == "stats":
             return cmd_stats(cfg, args.cohort, args.out, record_config=args.workdir is not None)
@@ -403,9 +376,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_predict(cfg, args.checkpoint, args.codebook, args.cohort)
         if args.command == "search":
             return cmd_search(cfg, args.matrix, args.include_default)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_gradcheck(cfg, record_config=args.workdir is not None)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

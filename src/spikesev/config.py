@@ -47,7 +47,6 @@ class RunConfig:
     block_weight_sequence: float = 1.0
     block_weight_covariates: float = 1.0
     age_binning: str = "exact"  # exact | decade
-    jobs: int = 1
     # split
     ratio: float = 0.8
     split_seed: int = 0

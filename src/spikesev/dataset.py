@@ -15,7 +15,7 @@ import numpy as np
 
 from .ingest import Severity, SpikeRecord
 from .scales import ScalesRegistry
-from .seqfeatures import GLOBAL_DESCRIPTOR_LENGTH, global_descriptors, residue_encoding
+from .seqfeatures import GLOBAL_DESCRIPTOR_LENGTH, sequence_features
 
 LABEL_OF = {Severity.MILD: 1, Severity.SEVERE: 0}
 
@@ -23,11 +23,16 @@ DEFAULT_N_MODEL = 16730
 
 # Fixed field order of the one-hot covariate blocks.
 COVARIATE_FIELDS = ("gender", "age", "clade", "lineage")
+AGE_BINNINGS = ("exact", "decade")
 
 MATRIX_MAGIC = b"SSEVMAT1"
 
 
 class MatrixFormatError(ValueError):
+    pass
+
+
+class CodebookFormatError(ValueError):
     pass
 
 
@@ -58,15 +63,24 @@ class CovariateCodebook:
 
     @classmethod
     def from_text(cls, text: str) -> "CovariateCodebook":
+        """Parse `to_text` output; a malformed line raises CodebookFormatError."""
         age_binning = "exact"
         cats: dict[str, list[str]] = {f: [] for f in COVARIATE_FIELDS}
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if line.startswith("# age_binning"):
-                age_binning = line.split()[-1]
+                age_binning = line[len("# age_binning"):].strip()
+                if age_binning not in AGE_BINNINGS:
+                    raise CodebookFormatError(f"line {lineno}: unknown age binning {age_binning!r}")
                 continue
             if not line.strip() or line.startswith("#"):
                 continue
-            fieldname, value = line.split("\t", 1)
+            fieldname, tab, value = line.partition("\t")
+            if not tab:
+                raise CodebookFormatError(f"line {lineno}: no tab after the field in {line!r}")
+            if fieldname not in cats:
+                raise CodebookFormatError(f"line {lineno}: unknown covariate field {fieldname!r}")
+            if value in cats[fieldname]:
+                raise CodebookFormatError(f"line {lineno}: duplicate {fieldname} value {value!r}")
             cats[fieldname].append(value)
         return cls(categories={f: tuple(v) for f, v in cats.items()}, age_binning=age_binning)
 
@@ -80,7 +94,7 @@ def _age_category(age: int, binning: str) -> str:
 def fit_codebook(records: list[SpikeRecord], age_binning: str = "exact") -> CovariateCodebook:
     if not records:
         raise ValueError("cannot fit a codebook on an empty record list")
-    if age_binning not in ("exact", "decade"):
+    if age_binning not in AGE_BINNINGS:
         raise ValueError(f"unknown age binning mode: {age_binning}")
     values: dict[str, set[str]] = {f: set() for f in COVARIATE_FIELDS}
     for rec in records:
@@ -182,20 +196,14 @@ def assemble(
         raise ValueError(
             f"model length too small: need at least {GLOBAL_DESCRIPTOR_LENGTH + width}, got {n_model}"
         )
-    g = global_descriptors(record.sequence, registry).to_vector()
-    residue = residue_encoding(record.sequence, registry).matrix.reshape(-1)
-    cov = encode_covariates(record, codebook)
-
-    avail = n_model - GLOBAL_DESCRIPTOR_LENGTH - width
-    truncated = residue.size > avail
-    if truncated:
-        residue = residue[:avail]
+    seq = sequence_features(record.sequence, registry)
+    truncated = seq.size > n_model - width
+    seq = seq[: n_model - width]
 
     values = np.zeros(n_model, dtype=np.float64)
-    values[:GLOBAL_DESCRIPTOR_LENGTH] = g * block_weights.sequence
-    r_end = GLOBAL_DESCRIPTOR_LENGTH + residue.size
-    values[GLOBAL_DESCRIPTOR_LENGTH:r_end] = residue * block_weights.sequence
-    values[r_end : r_end + width] = cov * block_weights.covariates
+    values[: seq.size] = seq * block_weights.sequence
+    cov = encode_covariates(record, codebook)
+    values[seq.size : seq.size + width] = cov * block_weights.covariates
 
     return FeatureVector(
         values=values.astype(np.float32),

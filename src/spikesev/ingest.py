@@ -422,10 +422,15 @@ def read_cohort(path: str | Path) -> list[SpikeRecord]:
     if not lines or lines[0].split("\t") != _COHORT_HEADER:
         raise MetadataError(f"{path}: not a cohort file")
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        acc, seq, age, gender, clade, lineage, label = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != len(_COHORT_HEADER):
+            raise MetadataError(f"{path}:{lineno}: expected {len(_COHORT_HEADER)} fields")
+        acc, seq, age, gender, clade, lineage, label = fields
+        if label not in (Severity.MILD.value, Severity.SEVERE.value):
+            raise MetadataError(f"{path}:{lineno}: label must be mild or severe, got {label!r}")
         records.append(
             SpikeRecord(
                 accession_id=acc,

@@ -23,30 +23,83 @@ PHYSIOLOGICAL_PH = 7.4
 
 GLOBAL_DESCRIPTOR_LENGTH = 29
 
-_AA_INDEX = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
+# Alphabetical residue index of each byte value; -1 for every other byte.
+_INDEX_OF_BYTE = np.full(256, -1, dtype=np.intp)
+_INDEX_OF_BYTE[np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)] = np.arange(20)
 
 
-def _check_sequence(sequence: str) -> None:
+def residue_indices(sequence: str) -> np.ndarray:
+    """Alphabetical residue index (A=0, ..., Y=19) of each position.
+
+    The one place a sequence is validated: it must be non-empty and made of
+    the 20 canonical upper-case residues.
+    """
     if not sequence:
         raise ValueError("empty sequence")
-    bad = set(sequence) - set(AMINO_ACIDS)
-    if bad:
+    idx = _INDEX_OF_BYTE[np.frombuffer(sequence.encode("utf-8", "replace"), dtype=np.uint8)]
+    if idx.min() < 0:
+        bad = set(sequence) - set(AMINO_ACIDS)
         raise ValueError(f"non-canonical residues in sequence: {sorted(bad)}")
+    return idx
+
+
+def _counts(sequence: str) -> np.ndarray:
+    return np.bincount(residue_indices(sequence), minlength=20)
+
+
+def _scale(table: dict[str, float]) -> np.ndarray:
+    return np.array([table[aa] for aa in AMINO_ACIDS])
+
+
+def _members(residues: frozenset[str]) -> np.ndarray:
+    return np.array([float(aa in residues) for aa in AMINO_ACIDS])
+
+
+def _side_chain_charges(registry: ScalesRegistry, ph: float) -> np.ndarray:
+    """Henderson-Hasselbalch side-chain charge of each residue at `ph`."""
+    pka = registry.pka_side_chain
+    charges = dict.fromkeys(AMINO_ACIDS, 0.0)
+    charges.update({aa: 1.0 / (1.0 + 10.0 ** (ph - pka[aa])) for aa in "KRH"})
+    charges.update({aa: -1.0 / (1.0 + 10.0 ** (pka[aa] - ph)) for aa in "DECY"})
+    return _scale(charges)
+
+
+def _net_charge(side_chains: float, registry: ScalesRegistry, ph: float) -> float:
+    """The side chains' summed charge plus the termini's."""
+    n_term, c_term = registry.pka_termini
+    return side_chains + 1.0 / (1.0 + 10.0 ** (ph - n_term)) - 1.0 / (1.0 + 10.0 ** (c_term - ph))
+
+
+# Keyed by content hash: an entry depends on the registry's values alone, so
+# every registry with the same values shares it.
+_COLUMNS: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _columns(registry: ScalesRegistry) -> tuple[np.ndarray, np.ndarray]:
+    """Per-residue columns of `registry`, built once per content hash: the
+    (20, 7) descriptor columns [hydrophobicity, side-chain charge at
+    PHYSIOLOGICAL_PH, helix, strand and coil class, polarity, hbond_capable]
+    and the (20, 10) residue_row_table."""
+    if registry.content_hash not in _COLUMNS:
+        sets = registry.class_sets
+        descriptor = np.column_stack([
+            _scale(registry.hydrophobicity),
+            _side_chain_charges(registry, PHYSIOLOGICAL_PH),
+            *(_members(sets[name]) for name in ("helix_class", "strand_class", "coil_class")),
+            _scale(registry.polarity),
+            _members(sets["hbond_capable"]),
+        ])
+        _COLUMNS[registry.content_hash] = descriptor, residue_row_table(registry)
+    return _COLUMNS[registry.content_hash]
 
 
 def amino_acid_composition(sequence: str) -> np.ndarray:
     """Residue frequencies in fixed alphabetical order (A, C, D, ..., Y)."""
-    _check_sequence(sequence)
-    counts = np.zeros(20, dtype=np.float64)
-    for aa in sequence:
-        counts[_AA_INDEX[aa]] += 1
-    return counts / len(sequence)
+    return _counts(sequence) / len(sequence)
 
 
 def mean_hydrophobicity(sequence: str, registry: ScalesRegistry) -> float:
-    _check_sequence(sequence)
-    table = registry.hydrophobicity
-    return sum(table[aa] for aa in sequence) / len(sequence)
+    return global_descriptors(sequence, registry).mean_hydrophobicity
 
 
 def net_charge(sequence: str, registry: ScalesRegistry, ph: float = PHYSIOLOGICAL_PH) -> float:
@@ -56,20 +109,10 @@ def net_charge(sequence: str, registry: ScalesRegistry, ph: float = PHYSIOLOGICA
     1/(1+10^(pH-pKa)); acidic groups (D, E, C, Y side chains and the
     C-terminus) contribute -1/(1+10^(pKa-pH)).
     """
-    _check_sequence(sequence)
+    counts = _counts(sequence)
     if not 0.0 < ph < 14.0:
         raise ValueError(f"pH must lie in (0, 14), got {ph}")
-    pka = registry.pka_side_chain
-    charge = 0.0
-    for aa in sequence:
-        if aa in "KRH":
-            charge += 1.0 / (1.0 + 10.0 ** (ph - pka[aa]))
-        elif aa in "DECY":
-            charge -= 1.0 / (1.0 + 10.0 ** (pka[aa] - ph))
-    n_term, c_term = registry.pka_termini
-    charge += 1.0 / (1.0 + 10.0 ** (ph - n_term))
-    charge -= 1.0 / (1.0 + 10.0 ** (c_term - ph))
-    return charge
+    return _net_charge(counts @ _side_chain_charges(registry, ph), registry, ph)
 
 
 def ss_fractions(sequence: str, registry: ScalesRegistry) -> np.ndarray:
@@ -77,29 +120,16 @@ def ss_fractions(sequence: str, registry: ScalesRegistry) -> np.ndarray:
 
     The sets may overlap, so the three fractions need not sum to 1.
     """
-    _check_sequence(sequence)
-    sets = registry.class_sets
-    n = len(sequence)
-    return np.array(
-        [
-            sum(1 for aa in sequence if aa in sets[name]) / n
-            for name in ("helix_class", "strand_class", "coil_class")
-        ],
-        dtype=np.float64,
-    )
+    return global_descriptors(sequence, registry).ss_fractions
 
 
 def weighted_polarity(sequence: str, registry: ScalesRegistry) -> float:
     """Frequency-weighted polarity; equals the mean per-residue polarity."""
-    _check_sequence(sequence)
-    table = registry.polarity
-    return sum(table[aa] for aa in sequence) / len(sequence)
+    return global_descriptors(sequence, registry).polarity
 
 
 def hbond_potential(sequence: str, registry: ScalesRegistry) -> float:
-    _check_sequence(sequence)
-    capable = registry.class_sets["hbond_capable"]
-    return sum(1 for aa in sequence if aa in capable) / len(sequence)
+    return global_descriptors(sequence, registry).hbond_potential
 
 
 @dataclass(frozen=True)
@@ -115,39 +145,30 @@ class GlobalDescriptors:
 
     def to_vector(self) -> np.ndarray:
         """Fixed 29-slot layout: [aac | length | diversity | hydro | charge | ss | polarity | hbond]."""
-        return np.concatenate(
-            [
-                self.aac,
-                [
-                    float(self.length),
-                    float(self.diversity),
-                    self.mean_hydrophobicity,
-                    self.net_charge,
-                ],
-                self.ss_fractions,
-                [self.polarity, self.hbond_potential],
-            ]
-        )
+        scalars = [self.length, self.diversity, self.mean_hydrophobicity, self.net_charge]
+        tail = [self.polarity, self.hbond_potential]
+        return np.concatenate([self.aac, scalars, self.ss_fractions, tail])
 
 
-def global_descriptors(sequence: str, registry: ScalesRegistry) -> GlobalDescriptors:
-    _check_sequence(sequence)
+def _descriptors(counts: np.ndarray, registry: ScalesRegistry) -> GlobalDescriptors:
+    """The descriptors of a sequence with these residue counts: each is one
+    product of the counts with a per-residue column."""
+    n = int(counts.sum())
+    hydro, side_chains, helix, strand, coil, polarity, hbond = counts @ _columns(registry)[0]
     return GlobalDescriptors(
-        aac=amino_acid_composition(sequence),
-        length=len(sequence),
-        diversity=len(set(sequence)),
-        mean_hydrophobicity=mean_hydrophobicity(sequence, registry),
-        net_charge=net_charge(sequence, registry),
-        ss_fractions=ss_fractions(sequence, registry),
-        polarity=weighted_polarity(sequence, registry),
-        hbond_potential=hbond_potential(sequence, registry),
+        aac=counts / n,
+        length=n,
+        diversity=int(np.count_nonzero(counts)),
+        mean_hydrophobicity=hydro / n,
+        net_charge=_net_charge(side_chains, registry, PHYSIOLOGICAL_PH),
+        ss_fractions=np.array([helix, strand, coil]) / n,
+        polarity=polarity / n,
+        hbond_potential=hbond / n,
     )
 
 
-def _minmax_normalized(table: dict[str, float]) -> dict[str, float]:
-    lo, hi = min(table.values()), max(table.values())
-    span = hi - lo
-    return {aa: (v - lo) / span for aa, v in table.items()}
+def global_descriptors(sequence: str, registry: ScalesRegistry) -> GlobalDescriptors:
+    return _descriptors(_counts(sequence), registry)
 
 
 def residue_row_table(registry: ScalesRegistry) -> np.ndarray:
@@ -157,38 +178,23 @@ def residue_row_table(registry: ScalesRegistry) -> np.ndarray:
     Structure class is one-hot with priority helix > strand, coil as the
     fallback so every residue gets exactly one structure flag.
     """
-    pol = _minmax_normalized(registry.polarity)
-    pi = _minmax_normalized(registry.isoelectric_point)
-    hyd = _minmax_normalized(registry.hydrophobicity)
     sets = registry.class_sets
-    rows = np.zeros((20, 10), dtype=np.float64)
-    for i, aa in enumerate(AMINO_ACIDS):
-        if aa in sets["helix_class"]:
-            ss = (1.0, 0.0, 0.0)
-        elif aa in sets["strand_class"]:
-            ss = (0.0, 1.0, 0.0)
-        else:
-            ss = (0.0, 0.0, 1.0)
-        rows[i] = (
-            pol[aa],
-            pi[aa],
-            hyd[aa],
-            float(aa in sets["polar"]),
-            float(aa in sets["charged"]),
-            float(aa in sets["aromatic"]),
-            float(aa in sets["aliphatic"]),
-            *ss,
-        )
-    return rows
+    helix = _members(sets["helix_class"])
+    strand = _members(sets["strand_class"]) * (1.0 - helix)
+    scales = [registry.polarity, registry.isoelectric_point, registry.hydrophobicity]
+    return np.column_stack([
+        *((v - v.min()) / (v.max() - v.min()) for v in map(_scale, scales)),
+        *(_members(sets[name]) for name in ("polar", "charged", "aromatic", "aliphatic")),
+        helix,
+        strand,
+        1.0 - helix - strand,
+    ])
 
 
 def rbd_weights(length: int) -> np.ndarray:
     """Per-position weights: RBD_WEIGHT inside [RBD_START, RBD_END], else 1."""
     weights = np.ones(length, dtype=np.float64)
-    lo = RBD_START - 1
-    hi = min(RBD_END, length)
-    if lo < length:
-        weights[lo:hi] = RBD_WEIGHT
+    weights[RBD_START - 1 : RBD_END] = RBD_WEIGHT
     return weights
 
 
@@ -198,9 +204,18 @@ class ResidueEncoding:
     rbd_weights: np.ndarray  # (L,)
 
 
+def _residue_rows(idx: np.ndarray, registry: ScalesRegistry) -> np.ndarray:
+    return _columns(registry)[1][idx] * rbd_weights(len(idx))[:, None]
+
+
 def residue_encoding(sequence: str, registry: ScalesRegistry) -> ResidueEncoding:
-    _check_sequence(sequence)
-    table = residue_row_table(registry)
-    idx = np.fromiter((_AA_INDEX[aa] for aa in sequence), dtype=np.intp, count=len(sequence))
-    weights = rbd_weights(len(sequence))
-    return ResidueEncoding(matrix=table[idx] * weights[:, None], rbd_weights=weights)
+    idx = residue_indices(sequence)
+    return ResidueEncoding(matrix=_residue_rows(idx, registry), rbd_weights=rbd_weights(len(idx)))
+
+
+def sequence_features(sequence: str, registry: ScalesRegistry) -> np.ndarray:
+    """[global descriptors | residue rows, row-major]: the sequence-derived
+    head of a feature vector, from one residue-index array."""
+    idx = residue_indices(sequence)
+    descriptors = _descriptors(np.bincount(idx, minlength=20), registry)
+    return np.concatenate([descriptors.to_vector(), _residue_rows(idx, registry).reshape(-1)])

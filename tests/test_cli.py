@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 
 import pytest
@@ -5,7 +7,8 @@ import pytest
 from helpers import cohort_fixture_texts, separable_blobs
 from spikesev import dataset
 from spikesev.checkpoint import save_checkpoint
-from spikesev.cli import main
+from spikesev.cli import build_parser, main
+from spikesev.config import RunConfig
 from spikesev.ingest import Severity, SpikeRecord, read_cohort, write_cohort
 from spikesev.network import Architecture, Network, param_count
 from spikesev.scales import default_registry
@@ -214,6 +217,27 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_codebook_is_input_error_with_line(self, tmp_path, fixture_files, capsys):
+        fasta, meta, _ = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        save_checkpoint(Network(64, seed=3), wd / "m.ckpt", default_registry().content_hash)
+        (wd / "codebook.tsv").write_text("# covariate codebook v1\nsex\tmale\n")
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(wd / "m.ckpt"), "--codebook",
+                     str(wd / "codebook.tsv"), "--cohort", str(wd / "cohort.tsv"),
+                     "--workdir", str(wd)])
+        assert code == 2
+        assert "line 2: unknown covariate field 'sex'" in capsys.readouterr().err
+
+    def test_cohort_label_outside_mild_severe_is_input_error(self, tmp_path, capsys):
+        record = SpikeRecord("EPI1", "MKVLL", 54, "male", "GR", "P.1", Severity.INCONCLUSIVE)
+        write_cohort([record], tmp_path / "cohort.tsv")
+        code = main(["featurize", "--cohort", str(tmp_path / "cohort.tsv"),
+                     "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert "label must be mild or severe" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("not_a_key = 1\n")
@@ -303,16 +327,50 @@ def test_prep_stage_outputs_pinned(tmp_path, fixture_files, capsys):
     capsys.readouterr()
 
 
-def test_parallel_featurize_is_bit_identical(tmp_path, fixture_files, capsys):
+def test_config_flags_reach_the_resolved_config(tmp_path, fixture_files, capsys):
+    """Every flag whose dest is a `RunConfig` field shows up, with its value,
+    in the `<command>.resolved.cfg` the command writes."""
     fasta, meta, cfg = fixture_files
-    wd1, wd2 = tmp_path / "serial", tmp_path / "parallel"
-    main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd1)])
-    assert main(["featurize", "--config", str(cfg), "--cohort", str(wd1 / "cohort.tsv"),
-                 "--workdir", str(wd1), "--jobs", "1"]) == 0
-    assert main(["featurize", "--config", str(cfg), "--cohort", str(wd1 / "cohort.tsv"),
-                 "--workdir", str(wd2), "--jobs", "2"]) == 0
-    assert (wd1 / "features.mat").read_bytes() == (wd2 / "features.mat").read_bytes()
-    assert (wd1 / "features.ids").read_bytes() == (wd2 / "features.ids").read_bytes()
+    wd = tmp_path / "w"
+    space = tmp_path / "space.tsv"
+    space.write_text("learning_rate\tlog\t0.001\t0.003\n")
+    runs = {
+        "ingest": ["--fasta", str(fasta), "--metadata", str(meta), "--delimiter", "tab"],
+        "stats": ["--cohort", str(wd / "cohort.tsv")],
+        "featurize": ["--config", str(cfg), "--cohort", str(wd / "cohort.tsv"), "--n-model", "640"],
+        "split": ["--matrix", str(wd / "features.mat"), "--ratio", "0.75", "--seed", "3"],
+        "balance": ["--matrix", str(wd / "train.mat"), "--k", "2", "--seed", "4"],
+        "train": ["--config", str(cfg), "--matrix", str(wd / "balanced.mat"), "--epochs", "1",
+                  "--batch-size", "8", "--learning-rate", "0.002", "--lambda-l2", "0.0005",
+                  "--seed", "5"],
+        "evaluate": ["--config", str(cfg), "--checkpoint", str(wd / "model.ckpt"),
+                     "--matrix", str(wd / "test.mat"), "--threshold", "0.4"],
+        "predict": ["--config", str(cfg), "--checkpoint", str(wd / "model.ckpt"),
+                    "--codebook", str(wd / "codebook.tsv"), "--cohort", str(wd / "cohort.tsv"),
+                    "--threshold", "0.6"],
+        "search": ["--config", str(cfg), "--matrix", str(wd / "features.mat"),
+                   "--space", str(space), "--trials", "1", "--k", "2", "--epochs", "1",
+                   "--seed", "6"],
+        "gradcheck": ["--seed", "7"],
+    }
+    config_keys = {f.name for f in dataclasses.fields(RunConfig)}
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert sorted(subparsers) == sorted(runs)
+    for command, argv in runs.items():
+        argv = [command, *argv, "--workdir", str(wd)]
+        assert main(argv) == 0, command
+        lines = (wd / f"{command}.resolved.cfg").read_text().splitlines()
+        resolved = dict(line.split(" = ", 1) for line in lines)
+        for action in subparsers[command]._actions:
+            if action.dest not in config_keys:
+                continue
+            given = [flag for flag in action.option_strings if flag in argv]
+            assert given, f"{command}: no value given for {action.option_strings}"
+            raw = argv[argv.index(given[0]) + 1]
+            value = action.type(raw) if action.type else raw
+            assert resolved[action.dest] == str(value), (command, given[0])
     capsys.readouterr()
 
 

@@ -4,6 +4,7 @@ import pytest
 from helpers import cohort_fixture_texts, random_sequence
 from spikesev.dataset import (
     BlockWeights,
+    CodebookFormatError,
     CovariateCodebook,
     FeatureMatrix,
     FeatureVector,
@@ -76,6 +77,21 @@ class TestCodebook:
         cb = fit_codebook(_cohort())
         restored = CovariateCodebook.from_text(cb.to_text(registry_hash="ab12"))
         assert restored == cb
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("colour\tred", "unknown covariate field 'colour'"),
+            ("gender male", "no tab after the field"),
+            ("# age_binning weekly", "unknown age binning 'weekly'"),
+            ("gender\tfemale", "duplicate gender value 'female'"),
+        ],
+    )
+    def test_malformed_line_refused_with_its_number(self, line, message):
+        text = "# covariate codebook v1\ngender\tfemale\n" + line + "\nage\t54\n"
+        with pytest.raises(CodebookFormatError, match=f"line 3: {message}"):
+            CovariateCodebook.from_text(text)
+        assert issubclass(CodebookFormatError, ValueError)
 
 
 class TestAssemble:

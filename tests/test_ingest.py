@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -270,3 +272,21 @@ def test_cohort_file_round_trip(tmp_path):
     path = tmp_path / "cohort.tsv"
     write_cohort(cohort, path)
     assert read_cohort(path) == cohort
+
+
+@pytest.mark.parametrize("label", [Severity.INCONCLUSIVE, Severity.UNMAPPED])
+def test_read_cohort_refuses_labels_other_than_mild_and_severe(tmp_path, label):
+    fasta_text, meta_text = cohort_fixture_texts()
+    cohort, _ = build_cohort(parse_fasta(fasta_text)[0], parse_metadata(meta_text, "\t"))
+    cohort[1] = dataclasses.replace(cohort[1], label=label)
+    path = tmp_path / "cohort.tsv"
+    write_cohort(cohort, path)
+    with pytest.raises(MetadataError, match=f"cohort.tsv:3: label must be mild or severe, got '{label.value}'"):
+        read_cohort(path)
+
+
+def test_read_cohort_refuses_a_row_of_another_width(tmp_path):
+    path = tmp_path / "cohort.tsv"
+    path.write_text("accession\tsequence\tage\tgender\tclade\tlineage\tlabel\nEPI1\tMKV\t54\tmale\n")
+    with pytest.raises(MetadataError, match="cohort.tsv:2: expected 7 fields"):
+        read_cohort(path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,10 @@ from spikesev.seqfeatures import (
     hbond_potential,
     mean_hydrophobicity,
     net_charge,
+    rbd_weights,
     residue_encoding,
     residue_row_table,
+    sequence_features,
     ss_fractions,
     weighted_polarity,
 )
@@ -236,3 +240,143 @@ class TestResidueEncoding:
     def test_row_count_matches_length(self):
         enc = residue_encoding("MKVLL", REG)
         assert enc.matrix.shape == (5, 10)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-residue loops the array implementation replaced. Each
+# walks the sequence one residue at a time and validates it itself.
+
+_REF_INDEX = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
+
+
+def _ref_check(sequence):
+    if not sequence:
+        raise ValueError("empty sequence")
+    bad = set(sequence) - set(AMINO_ACIDS)
+    if bad:
+        raise ValueError(f"non-canonical residues in sequence: {sorted(bad)}")
+
+
+def ref_composition(sequence):
+    _ref_check(sequence)
+    counts = np.zeros(20, dtype=np.float64)
+    for aa in sequence:
+        counts[_REF_INDEX[aa]] += 1
+    return counts / len(sequence)
+
+
+def ref_mean_scale(sequence, table):
+    _ref_check(sequence)
+    return sum(table[aa] for aa in sequence) / len(sequence)
+
+
+def ref_net_charge(sequence, registry, ph=7.4):
+    _ref_check(sequence)
+    pka = registry.pka_side_chain
+    charge = 0.0
+    for aa in sequence:
+        if aa in "KRH":
+            charge += 1.0 / (1.0 + 10.0 ** (ph - pka[aa]))
+        elif aa in "DECY":
+            charge -= 1.0 / (1.0 + 10.0 ** (pka[aa] - ph))
+    n_term, c_term = registry.pka_termini
+    charge += 1.0 / (1.0 + 10.0 ** (ph - n_term))
+    charge -= 1.0 / (1.0 + 10.0 ** (c_term - ph))
+    return charge
+
+
+def ref_fraction_in(sequence, members):
+    _ref_check(sequence)
+    return sum(1 for aa in sequence if aa in members) / len(sequence)
+
+
+def ref_residue_matrix(sequence, registry):
+    _ref_check(sequence)
+    table = residue_row_table(registry)
+    rows = np.array([table[_REF_INDEX[aa]] for aa in sequence])
+    weights = np.ones(len(sequence))
+    weights[RBD_START - 1 : RBD_END] = RBD_WEIGHT
+    return rows * weights[:, None]
+
+
+def _close(got, want, scale):
+    """Equal within 1e-12 relative; `scale` bounds the size of one summed
+    term, so a sum that cancels to near zero is judged on its terms."""
+    return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+# Short sequences and ones that run past the receptor-binding domain.
+oracle_sequences = st.one_of(
+    st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=60),
+    st.text(alphabet=AMINO_ACIDS, min_size=RBD_END - 5, max_size=RBD_END + 200),
+)
+
+
+class TestAgainstPerResidueReference:
+    @given(oracle_sequences)
+    @settings(max_examples=60, deadline=None)
+    def test_counting_descriptors_are_exact(self, seq):
+        d = global_descriptors(seq, REG)
+        sets = REG.class_sets
+        np.testing.assert_array_equal(d.aac, ref_composition(seq))
+        np.testing.assert_array_equal(amino_acid_composition(seq), ref_composition(seq))
+        assert d.length == len(seq)
+        assert d.diversity == len(set(seq))
+        want_ss = [ref_fraction_in(seq, sets[n]) for n in ("helix_class", "strand_class", "coil_class")]
+        assert d.ss_fractions.tolist() == want_ss
+        assert ss_fractions(seq, REG).tolist() == want_ss
+        assert d.hbond_potential == hbond_potential(seq, REG) == ref_fraction_in(seq, sets["hbond_capable"])
+
+    @given(oracle_sequences)
+    @settings(max_examples=60, deadline=None)
+    def test_scale_descriptors_within_1e12(self, seq):
+        d = global_descriptors(seq, REG)
+        hyd_scale = max(abs(v) for v in REG.hydrophobicity.values())
+        pol_scale = max(abs(v) for v in REG.polarity.values())
+        want_hyd = ref_mean_scale(seq, REG.hydrophobicity)
+        want_pol = ref_mean_scale(seq, REG.polarity)
+        assert _close(d.mean_hydrophobicity, want_hyd, hyd_scale)
+        assert _close(mean_hydrophobicity(seq, REG), want_hyd, hyd_scale)
+        assert _close(d.polarity, want_pol, pol_scale)
+        assert _close(weighted_polarity(seq, REG), want_pol, pol_scale)
+        assert _close(d.net_charge, ref_net_charge(seq, REG), len(seq))
+        for ph in (3.0, 7.4, 11.5):
+            assert _close(net_charge(seq, REG, ph=ph), ref_net_charge(seq, REG, ph=ph), len(seq))
+
+    @given(oracle_sequences)
+    @settings(max_examples=40, deadline=None)
+    def test_residue_block_is_exact(self, seq):
+        want = ref_residue_matrix(seq, REG)
+        enc = residue_encoding(seq, REG)
+        np.testing.assert_array_equal(enc.matrix, want)
+        np.testing.assert_array_equal(enc.rbd_weights, rbd_weights(len(seq)))
+        head = sequence_features(seq, REG)
+        np.testing.assert_array_equal(head[:GLOBAL_DESCRIPTOR_LENGTH], global_descriptors(seq, REG).to_vector())
+        np.testing.assert_array_equal(head[GLOBAL_DESCRIPTOR_LENGTH:], want.reshape(-1))
+
+    @pytest.mark.parametrize("seq", ["", "acd", "Mkv", "AÉ", "É", "AXA", "X", "A-C", "A C", "MKV*"])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            amino_acid_composition,
+            lambda s: mean_hydrophobicity(s, REG),
+            lambda s: net_charge(s, REG),
+            lambda s: ss_fractions(s, REG),
+            lambda s: weighted_polarity(s, REG),
+            lambda s: hbond_potential(s, REG),
+            lambda s: global_descriptors(s, REG),
+            lambda s: residue_encoding(s, REG),
+            lambda s: sequence_features(s, REG),
+        ],
+    )
+    def test_invalid_sequences_refused_as_the_reference_does(self, seq, fn):
+        with pytest.raises(ValueError) as want:
+            _ref_check(seq)
+        with pytest.raises(ValueError) as got:
+            fn(seq)
+        assert str(got.value) == str(want.value)
+
+    @given(st.text(min_size=1, max_size=40).filter(lambda t: set(t) - set(AMINO_ACIDS)))
+    def test_any_non_canonical_character_refused(self, seq):
+        with pytest.raises(ValueError, match="non-canonical residues"):
+            global_descriptors(seq, REG)
