@@ -55,9 +55,8 @@ def _detect_delimiter(cfg: RunConfig, path: str, text: str) -> str:
     return "\t" if "\t" in first else ","
 
 
-def _assemble(cfg: RunConfig, records, registry, codebook, n_model: int) -> list:
-    weights = dataset.BlockWeights(cfg.block_weight_sequence, cfg.block_weight_covariates)
-    return [dataset.assemble(r, registry, codebook, n_model, weights) for r in records]
+def _block_weights(cfg: RunConfig) -> dataset.BlockWeights:
+    return dataset.BlockWeights(cfg.block_weight_sequence, cfg.block_weight_covariates)
 
 
 def _train_config(cfg: RunConfig) -> training.TrainConfig:
@@ -91,11 +90,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     (wd / "exclusion_report.tsv").write_text(report_text, encoding="utf-8")
     _write_resolved(cfg, wd, "ingest")
     for reject in rejects:
-        print(
-            f"warning: sequence {reject.record_id!r} excluded "
-            f"(invalid character {reject.character!r} at position {reject.position})",
-            file=sys.stderr,
-        )
+        print(f"warning: sequence {reject.record_id!r} excluded ({reject.reason})", file=sys.stderr)
     if not cohort:
         print("warning: empty cohort after filtering", file=sys.stderr)
     print(f"retained {report.retained} of {report.retained + report.excluded} metadata rows")
@@ -121,17 +116,16 @@ def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to featurize")
     codebook = dataset.fit_codebook(records, age_binning=cfg.age_binning)
-    rows = _assemble(cfg, records, registry, codebook, cfg.n_model)
-    truncated = sum(1 for r in rows if r.truncated)
+    m, truncated = dataset.featurize(records, registry, codebook, cfg.n_model, _block_weights(cfg))
     if truncated:
         print(f"warning: residue block truncated for {truncated} record(s)", file=sys.stderr)
-    dataset.write_matrix(dataset.FeatureMatrix.stack(rows), wd / "features.mat")
+    dataset.write_matrix(m, wd / "features.mat")
     (wd / "codebook.tsv").write_text(codebook.to_text(registry.content_hash), encoding="utf-8")
     _write_resolved(
         cfg, wd, "featurize",
         {"registry_hash": registry.content_hash, "truncated_records": str(truncated)},
     )
-    print(f"featurized {len(rows)} records at width {cfg.n_model}")
+    print(f"featurized {len(m)} records at width {cfg.n_model}")
     return EXIT_OK
 
 
@@ -167,7 +161,7 @@ def cmd_train(cfg: RunConfig, matrix_path: str, val_matrix: str | None) -> int:
     net = Network(m.x.shape[1], _arch_from_config(cfg).specs(), seed=cfg.train_seed)
     logs, optimizer = training.train(net, m.x, m.y, _train_config(cfg), validation)
     ckpt.save_checkpoint(net, wd / "model.ckpt", registry.content_hash, optimizer)
-    training.write_epoch_logs(logs, wd / "epochs.tsv")
+    (wd / "epochs.tsv").write_text(training.epoch_logs_tsv(logs), encoding="utf-8")
     _write_resolved(cfg, wd, "train", {"registry_hash": registry.content_hash})
     last = logs[-1]
     print(
@@ -206,8 +200,8 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort
     records = ingest.read_cohort(cohort_path)
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to predict")
-    rows = _assemble(cfg, records, registry, codebook, net.input_length)
-    scores = net.predict_scores(dataset.FeatureMatrix.stack(rows).x)
+    m, _ = dataset.featurize(records, registry, codebook, net.input_length, _block_weights(cfg))
+    scores = net.predict_scores(m.x)
     lines = ["accession\tscore\tpredicted_label\tpredicted_class"]
     for record, score in zip(records, scores):
         label = int(score >= cfg.threshold)
@@ -238,7 +232,7 @@ def cmd_search(cfg: RunConfig, matrix_path: str, include_default: bool) -> int:
         smote_k=cfg.smote_k,
         fixed_trials=fixed,
     )
-    training.write_trials(trials, wd / "trials.tsv")
+    (wd / "trials.tsv").write_text(training.trials_tsv(trials), encoding="utf-8")
     _write_resolved(cfg, wd, "search")
     best = trials[0]
     if best.status == "ok":

@@ -117,7 +117,7 @@ def encode_covariates(record: SpikeRecord, codebook: CovariateCodebook) -> np.nd
         if fieldname == "age":
             value = _age_category(record.age, codebook.age_binning)
         else:
-            value = getattr(record, "gender" if fieldname == "gender" else fieldname)
+            value = getattr(record, fieldname)
         try:
             out[offset + cats.index(value)] = 1.0
         except ValueError:
@@ -130,17 +130,6 @@ def encode_covariates(record: SpikeRecord, codebook: CovariateCodebook) -> np.nd
 class BlockWeights:
     sequence: float = 1.0
     covariates: float = 1.0
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One assembled record; `FeatureMatrix.stack` turns a list of them into
-    a matrix."""
-
-    values: np.ndarray  # float32, length n_model
-    label: int  # 1 = mild, 0 = severe
-    accession: str | None = None
-    truncated: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,16 +155,51 @@ class FeatureMatrix:
         return len(self.y)
 
     @classmethod
-    def stack(cls, rows: list[FeatureVector]) -> "FeatureMatrix":
+    def concatenate(cls, parts: list["FeatureMatrix"]) -> "FeatureMatrix":
+        """The rows of `parts`, one after the other."""
         return cls(
-            np.stack([r.values for r in rows]),
-            np.array([r.label for r in rows], dtype=np.uint8),
-            tuple("-" if r.accession is None else r.accession for r in rows),
+            np.concatenate([p.x for p in parts]),
+            np.concatenate([p.y for p in parts]),
+            tuple(a for p in parts for a in p.ids),
         )
 
     def take(self, idx: np.ndarray) -> "FeatureMatrix":
         """The rows at `idx`, in that order."""
         return FeatureMatrix(self.x[idx], self.y[idx], tuple(self.ids[i] for i in idx))
+
+
+def featurize(
+    records: list[SpikeRecord],
+    registry: ScalesRegistry,
+    codebook: CovariateCodebook,
+    n_model: int = DEFAULT_N_MODEL,
+    block_weights: BlockWeights = BlockWeights(),
+) -> tuple[FeatureMatrix, int]:
+    """One row per record, [global | residue rows (row-major) | covariates |
+    zero padding], written into one preallocated float32 matrix; and the
+    number of records whose residue block was truncated.
+
+    Sequence-derived blocks are scaled by block_weights.sequence and the
+    covariate block by block_weights.covariates, in float64, and rounded to
+    float32 on store. A residue block that does not fit is truncated at the
+    tail.
+    """
+    width = codebook.width
+    if n_model < GLOBAL_DESCRIPTOR_LENGTH + width:
+        raise ValueError(
+            f"model length too small: need at least {GLOBAL_DESCRIPTOR_LENGTH + width}, got {n_model}"
+        )
+    x = np.zeros((len(records), n_model), dtype=np.float32)
+    truncated = 0
+    for row, record in zip(x, records):
+        seq = sequence_features(record.sequence, registry)
+        truncated += seq.size > n_model - width
+        seq = seq[: n_model - width]
+        row[: seq.size] = seq * block_weights.sequence
+        cov = encode_covariates(record, codebook)
+        row[seq.size : seq.size + width] = cov * block_weights.covariates
+    labels = [LABEL_OF[r.label] for r in records]
+    return FeatureMatrix(x, labels, [r.accession_id for r in records]), truncated
 
 
 def assemble(
@@ -184,33 +208,9 @@ def assemble(
     codebook: CovariateCodebook,
     n_model: int = DEFAULT_N_MODEL,
     block_weights: BlockWeights = BlockWeights(),
-) -> FeatureVector:
-    """Build [global | residue rows (row-major) | covariates | zero padding].
-
-    Sequence-derived blocks are scaled by block_weights.sequence and the
-    covariate block by block_weights.covariates. If the residue block does
-    not fit it is truncated at the tail and the vector is flagged.
-    """
-    width = codebook.width
-    if n_model < GLOBAL_DESCRIPTOR_LENGTH + width:
-        raise ValueError(
-            f"model length too small: need at least {GLOBAL_DESCRIPTOR_LENGTH + width}, got {n_model}"
-        )
-    seq = sequence_features(record.sequence, registry)
-    truncated = seq.size > n_model - width
-    seq = seq[: n_model - width]
-
-    values = np.zeros(n_model, dtype=np.float64)
-    values[: seq.size] = seq * block_weights.sequence
-    cov = encode_covariates(record, codebook)
-    values[seq.size : seq.size + width] = cov * block_weights.covariates
-
-    return FeatureVector(
-        values=values.astype(np.float32),
-        label=LABEL_OF[record.label],
-        accession=record.accession_id,
-        truncated=truncated,
-    )
+) -> FeatureMatrix:
+    """The one-row matrix `featurize` builds for `record`."""
+    return featurize([record], registry, codebook, n_model, block_weights)[0]
 
 
 @dataclass(frozen=True)
@@ -278,25 +278,23 @@ def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
         z_i = int(neighbor_idx[x_i, int(rng.integers(0, k))])
         lam = float(rng.random())
         synthetic[i] = minority_rows[x_i] + lam * (minority_rows[z_i] - minority_rows[x_i])
-    return FeatureMatrix(
-        np.concatenate([m.x, synthetic]),
-        np.concatenate([m.y, np.full(len(synthetic), minority, dtype=np.uint8)]),
-        m.ids + tuple(f"synthetic-{i}" for i in range(len(synthetic))),
-    )
+    labels = np.full(len(synthetic), minority)
+    ids = [f"synthetic-{i}" for i in range(len(synthetic))]
+    return FeatureMatrix.concatenate([m, FeatureMatrix(synthetic, labels, ids)])
 
 
 def to_arrays(m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return m.x, m.y
 
 
-def write_matrix(m: FeatureMatrix | list[FeatureVector], path: str | Path) -> None:
+def write_matrix(m: FeatureMatrix | list[FeatureMatrix], path: str | Path) -> None:
     """Binary matrix (magic, u32 rows, u32 cols, f32 LE payload, u8 labels)
-    plus its `.ids` sidecar, one accession per row. A list of `assemble`
-    rows is stacked first."""
+    plus its `.ids` sidecar, one accession per row. A list of matrices, such
+    as `assemble` rows, is written as their concatenation."""
     if not len(m):
         raise ValueError("refusing to write an empty matrix")
     if not isinstance(m, FeatureMatrix):
-        m = FeatureMatrix.stack(m)
+        m = FeatureMatrix.concatenate(m)
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)

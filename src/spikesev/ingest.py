@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .scales import AMINO_ACIDS
+from .seqfeatures import byte_residue_indices
 
 
 class Severity(Enum):
@@ -126,8 +126,11 @@ class RejectedSequence:
     position: int  # 1-based offset of the first offending character, 0 if empty
     character: str
 
-
-_VALID_RESIDUES = set(AMINO_ACIDS)
+    @property
+    def reason(self) -> str:
+        if not self.character:
+            return "empty sequence"
+        return f"invalid character {self.character!r} at position {self.position}"
 
 
 def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence]]:
@@ -147,12 +150,13 @@ def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence
         if current_id is None:
             return
         seq = "".join(chunks)
-        for pos, ch in enumerate(seq, start=1):
-            if ch not in _VALID_RESIDUES:
-                rejects.append(RejectedSequence(current_id, pos, ch))
-                return
         if not seq:
             rejects.append(RejectedSequence(current_id, 0, ""))
+            return
+        invalid = byte_residue_indices(seq) < 0
+        if invalid.any():
+            i = int(invalid.argmax())
+            rejects.append(RejectedSequence(current_id, i + 1, seq[i]))
             return
         records.append((current_id, seq))
 

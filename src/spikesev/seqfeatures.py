@@ -28,15 +28,25 @@ _INDEX_OF_BYTE = np.full(256, -1, dtype=np.intp)
 _INDEX_OF_BYTE[np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)] = np.arange(20)
 
 
+def byte_residue_indices(sequence: str) -> np.ndarray:
+    """Alphabetical residue index of each UTF-8 byte of `sequence`; -1 for a
+    byte that is not one of the 20 canonical upper-case residues.
+
+    Every byte before the first -1 is an ASCII residue, so the offset of the
+    first -1 is also the offset of the first invalid character.
+    """
+    return _INDEX_OF_BYTE[np.frombuffer(sequence.encode("utf-8", "replace"), dtype=np.uint8)]
+
+
 def residue_indices(sequence: str) -> np.ndarray:
     """Alphabetical residue index (A=0, ..., Y=19) of each position.
 
-    The one place a sequence is validated: it must be non-empty and made of
-    the 20 canonical upper-case residues.
+    The one place a sequence is validated for featurization: it must be
+    non-empty and made of the 20 canonical upper-case residues.
     """
     if not sequence:
         raise ValueError("empty sequence")
-    idx = _INDEX_OF_BYTE[np.frombuffer(sequence.encode("utf-8", "replace"), dtype=np.uint8)]
+    idx = byte_residue_indices(sequence)
     if idx.min() < 0:
         bad = set(sequence) - set(AMINO_ACIDS)
         raise ValueError(f"non-canonical residues in sequence: {sorted(bad)}")

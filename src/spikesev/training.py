@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -115,17 +114,13 @@ def train(
     return logs, optimizer
 
 
-def write_epoch_logs(logs: list[EpochLog], path_or_stream) -> None:
+def epoch_logs_tsv(logs: list[EpochLog]) -> str:
     lines = ["epoch\tloss\taccuracy\tval_loss\tval_accuracy"]
     for log in logs:
         vl = f"{log.val_loss:.6f}" if log.val_loss is not None else "-"
         va = f"{log.val_accuracy:.6f}" if log.val_accuracy is not None else "-"
         lines.append(f"{log.epoch}\t{log.train_loss:.6f}\t{log.train_accuracy:.6f}\t{vl}\t{va}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        Path(path_or_stream).write_text(text, encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -365,7 +360,7 @@ def random_search(
     return ok + failed
 
 
-def write_trials(trials: list[Trial], path_or_stream) -> None:
+def trials_tsv(trials: list[Trial]) -> str:
     keys = sorted({k for t in trials for k in t.hyperparams})
     header = ["rank", "trial", "status", "mean_f1", "std_f1", "param_count", *keys, "error"]
     lines = ["\t".join(header)]
@@ -383,8 +378,4 @@ def write_trials(trials: list[Trial], path_or_stream) -> None:
             row.append(f"{value:.6g}" if isinstance(value, float) else str(value))
         row.append(t.error or "-")
         lines.append("\t".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        Path(path_or_stream).write_text(text, encoding="utf-8")
+    return "\n".join(lines) + "\n"

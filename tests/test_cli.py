@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -164,6 +165,20 @@ class TestExitCodes:
         assert "empty cohort" in capsys.readouterr().err
         assert read_cohort(wd / "cohort.tsv") == []
 
+    def test_rejected_sequences_warned_with_their_reason(self, tmp_path, fixture_files, capsys):
+        _, meta, _ = fixture_files
+        fasta = tmp_path / "s.fasta"
+        fasta.write_text(">a\nMKVLL\n>b\n>c\nMKXLL\n")
+        wd = tmp_path / "w"
+        assert main(["ingest", "--fasta", str(fasta), "--metadata", str(meta),
+                     "--workdir", str(wd)]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "excluded" in line]
+        assert warnings == [
+            "warning: sequence 'b' excluded (empty sequence)",
+            "warning: sequence 'c' excluded (invalid character 'X' at position 3)",
+        ]
+        assert "invalid sequences\t2\n" in (wd / "exclusion_report.tsv").read_text()
+
     def test_featurize_model_length_too_small(self, tmp_path, fixture_files, capsys):
         fasta, meta, _ = fixture_files
         wd = tmp_path / "w"
@@ -324,6 +339,25 @@ def test_prep_stage_outputs_pinned(tmp_path, fixture_files, capsys):
     }
     got = {name: hashlib.sha256((wd / name).read_bytes()).hexdigest() for name in expected}
     assert got == expected
+    capsys.readouterr()
+
+
+def test_featurize_holds_one_copy_of_the_matrix(tmp_path, fixture_files, capsys):
+    """Rows are written into one preallocated matrix, so the traced peak stays
+    near the matrix's size; a list of rows plus a stacked copy is twice it."""
+    fasta, meta, _ = fixture_files
+    wd = tmp_path / "w"
+    main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+    tracemalloc.start()
+    try:
+        code = main(["featurize", "--cohort", str(wd / "cohort.tsv"), "--workdir", str(wd),
+                     "--n-model", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    nbytes = dataset.read_matrix(wd / "features.mat").x.nbytes
+    assert peak < 1.25 * nbytes, (peak, nbytes)
     capsys.readouterr()
 
 

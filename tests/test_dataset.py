@@ -7,10 +7,10 @@ from spikesev.dataset import (
     CodebookFormatError,
     CovariateCodebook,
     FeatureMatrix,
-    FeatureVector,
     MatrixFormatError,
     assemble,
     encode_covariates,
+    featurize,
     fit_codebook,
     read_matrix,
     smote,
@@ -99,7 +99,7 @@ class TestAssemble:
         records = [_record(sequence="MKVLL"), _record("EPI2", sequence="ACDEF", label=Severity.SEVERE)]
         cb = fit_codebook(records)
         n_model = GLOBAL_DESCRIPTOR_LENGTH + 50 + cb.width + 17
-        fv = assemble(records[0], REG, cb, n_model)
+        m, truncated = featurize(records[:1], REG, cb, n_model)
         # each block sits where the sizes of the blocks before it put it
         blocks = [
             global_descriptors(records[0].sequence, REG).to_vector(),
@@ -110,43 +110,40 @@ class TestAssemble:
         assert ends == [29, 79, 79 + cb.width]
         assert n_model - ends[-1] == 17
         for block, start, end in zip(blocks, [0, *ends], ends):
-            np.testing.assert_array_equal(fv.values[start:end], block.astype(np.float32))
-        assert (fv.values[ends[-1] :] == 0.0).all()
-        assert not fv.truncated
-        assert fv.label == 1
+            np.testing.assert_array_equal(m.x[0, start:end], block.astype(np.float32))
+        assert (m.x[0, ends[-1] :] == 0.0).all()
+        assert truncated == 0
+        assert m.y.tolist() == [1] and m.ids == ("EPI1",)
 
     def test_severe_maps_to_zero(self):
         records = [_record(), _record("EPI2", label=Severity.SEVERE)]
         cb = fit_codebook(records)
-        fv = assemble(records[1], REG, cb, 200)
-        assert fv.label == 0
+        assert assemble(records[1], REG, cb, 200).y.tolist() == [0]
 
     def test_identity_block_weights(self):
         records = [_record()]
         cb = fit_codebook(records)
         a = assemble(records[0], REG, cb, 150, BlockWeights(1.0, 1.0))
         b = assemble(records[0], REG, cb, 150)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.x, b.x)
 
     def test_doubling_sequence_weight_scales_sequence_blocks_only(self):
         records = [_record()]
         cb = fit_codebook(records)
-        base = assemble(records[0], REG, cb, 150)
-        doubled = assemble(records[0], REG, cb, 150, BlockWeights(sequence=2.0))
+        base = assemble(records[0], REG, cb, 150).x[0]
+        doubled = assemble(records[0], REG, cb, 150, BlockWeights(sequence=2.0)).x[0]
         seq_end = GLOBAL_DESCRIPTOR_LENGTH + 10 * len(records[0].sequence)
-        np.testing.assert_allclose(doubled.values[:seq_end], 2.0 * base.values[:seq_end], rtol=1e-6)
-        np.testing.assert_array_equal(doubled.values[seq_end:], base.values[seq_end:])
+        np.testing.assert_allclose(doubled[:seq_end], 2.0 * base[:seq_end], rtol=1e-6)
+        np.testing.assert_array_equal(doubled[seq_end:], base[seq_end:])
 
     def test_truncation_flagged_and_tail_dropped(self):
         records = [_record(sequence=random_sequence(np.random.default_rng(0), 40))]
         cb = fit_codebook(records)
         n_model = GLOBAL_DESCRIPTOR_LENGTH + 100 + cb.width  # room for 10 of 40 rows
-        fv = assemble(records[0], REG, cb, n_model)
-        assert fv.truncated
+        m, truncated = featurize(records, REG, cb, n_model)
+        assert truncated == 1
         full = assemble(records[0], REG, cb, 2000)
-        np.testing.assert_array_equal(
-            fv.values[29 : 29 + 100], full.values[29 : 29 + 100]
-        )
+        np.testing.assert_array_equal(m.x[0, 29 : 29 + 100], full.x[0, 29 : 29 + 100])
 
     def test_model_length_too_small(self):
         records = [_record()]
@@ -159,7 +156,22 @@ class TestAssemble:
         cb = fit_codebook(records)
         a = assemble(records[0], REG, cb, 700)
         b = assemble(records[0], REG, cb, 700)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.x.tobytes() == b.x.tobytes()
+
+    def test_rows_equal_one_record_assembly(self):
+        rng = np.random.default_rng(3)
+        records = [
+            _record(f"EPI{i}", random_sequence(rng, length), age=30 + i, label=Severity(label))
+            for i, (length, label) in enumerate([(5, "mild"), (12, "severe"), (3, "severe")])
+        ]
+        cb = fit_codebook(records)
+        weights = BlockWeights(sequence=0.5, covariates=3.0)
+        n_model = GLOBAL_DESCRIPTOR_LENGTH + 60 + cb.width  # truncates the 12-residue record
+        m, truncated = featurize(records, REG, cb, n_model, weights)
+        rows = [assemble(r, REG, cb, n_model, weights) for r in records]
+        assert m.x.tobytes() == np.concatenate([r.x for r in rows]).tobytes()
+        assert m.y.tolist() == [1, 0, 0] and m.ids == ("EPI0", "EPI1", "EPI2")
+        assert truncated == 1
 
 
 def _matrix(n0: int, n1: int, dim: int = 6, seed: int = 0) -> FeatureMatrix:
@@ -329,11 +341,12 @@ class TestMatrixIO:
         assert (tmp_path / "m.ids").read_text() == "ID000\nID001\nID002\nID003\nID004\n"
         assert read_matrix(tmp_path / "m.mat").ids == m.ids
 
-    def test_unknown_accession_written_as_dash(self, tmp_path):
-        rows = [FeatureVector(np.zeros(3, dtype=np.float32), 0),
-                FeatureVector(np.ones(3, dtype=np.float32), 1, "EPI1")]
-        write_matrix(rows, tmp_path / "m.mat")
-        assert (tmp_path / "m.ids").read_text() == "-\nEPI1\n"
+    def test_list_of_matrices_written_as_their_concatenation(self, tmp_path):
+        m = _matrix(3, 2)
+        write_matrix([m.take(np.array([i])) for i in range(len(m))], tmp_path / "rows.mat")
+        write_matrix(m, tmp_path / "m.mat")
+        assert (tmp_path / "rows.mat").read_bytes() == (tmp_path / "m.mat").read_bytes()
+        assert (tmp_path / "rows.ids").read_text() == (tmp_path / "m.ids").read_text()
 
     def test_missing_sidecar_reads_as_dashes(self, tmp_path):
         write_matrix(_matrix(2, 2), tmp_path / "m.mat")
@@ -363,9 +376,9 @@ def test_to_arrays_shapes_and_dtypes():
 
 
 class TestFeatureMatrix:
-    def test_stack_keeps_row_order(self):
-        rows = [FeatureVector(np.full(2, i, dtype=np.float32), i % 2, f"R{i}") for i in range(3)]
-        m = FeatureMatrix.stack(rows)
+    def test_concatenate_keeps_row_order(self):
+        rows = [FeatureMatrix(np.full((1, 2), i), [i % 2], [f"R{i}"]) for i in range(3)]
+        m = FeatureMatrix.concatenate(rows)
         assert m.x.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
         assert m.y.tolist() == [0, 1, 0] and m.ids == ("R0", "R1", "R2")
 

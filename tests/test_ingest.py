@@ -49,10 +49,18 @@ class TestParseFasta:
         assert rejects[0].position == 3
         assert rejects[0].character == "X"
 
-    @pytest.mark.parametrize("bad", ["-", "*", "B"])
+    @pytest.mark.parametrize("bad", ["-", "*", "B", "É", "Ω"])
     def test_non_canonical_alphabet_rejected(self, bad):
         _, rejects = parse_fasta(f">r\nMK{bad}V\n")
-        assert rejects and rejects[0].position == 3
+        assert rejects and (rejects[0].position, rejects[0].character) == (3, bad)
+
+    @pytest.mark.parametrize(
+        "sequence, position, character",
+        [("MKX-V", 3, "X"), ("MÉKΩ", 2, "É"), ("MKVΩ*", 4, "Ω"), ("AC\U0001F600DX", 3, "\U0001F600")],
+    )
+    def test_first_of_two_bad_characters_reported(self, sequence, position, character):
+        _, rejects = parse_fasta(f">r\n{sequence}\n")
+        assert [(r.position, r.character) for r in rejects] == [(position, character)]
 
     def test_lowercase_input_uppercased(self):
         records, _ = parse_fasta(">a\nmkvll\n")

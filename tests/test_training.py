@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -15,14 +13,14 @@ from spikesev.training import (
     TrainConfig,
     cross_validate,
     default_search_space,
+    epoch_logs_tsv,
     parse_search_space,
     random_search,
     sample_hyperparams,
     specs_from_hyperparams,
     stratified_folds,
     train,
-    write_epoch_logs,
-    write_trials,
+    trials_tsv,
 )
 
 TINY = dict(n_stages=1, filters=4, lstm_units=8, dense_units=8)
@@ -89,9 +87,7 @@ class TestTrain:
 
     def test_epoch_log_tsv(self):
         logs = [EpochLog(1, 0.5, 0.75), EpochLog(2, 0.4, 0.8, 0.45, 0.7)]
-        buf = io.StringIO()
-        write_epoch_logs(logs, buf)
-        lines = buf.getvalue().splitlines()
+        lines = epoch_logs_tsv(logs).splitlines()
         assert lines[0] == "epoch\tloss\taccuracy\tval_loss\tval_accuracy"
         assert lines[1] == "1\t0.500000\t0.750000\t-\t-"
         assert lines[2].startswith("2\t0.400000\t0.800000\t0.450000\t0.700000")
@@ -229,9 +225,7 @@ class TestRandomSearch:
         m = _blob_matrix(n=30, length=40)
         config = TrainConfig(epochs=1, seed=1, batch_size=16)
         trials = random_search(SMALL_SPACE, 2, m, config, Architecture(), cv_k=2, smote_k=2)
-        buf = io.StringIO()
-        write_trials(trials, buf)
-        lines = buf.getvalue().splitlines()
+        lines = trials_tsv(trials).splitlines()
         assert lines[0].startswith("rank\ttrial\tstatus\tmean_f1")
         assert len(lines) == 3
 
