@@ -217,7 +217,6 @@ def assemble(
 class DatasetSplit:
     train: FeatureMatrix
     test: FeatureMatrix
-    seed: int
 
 
 def stratified_split(m: FeatureMatrix, ratio: float, seed: int) -> DatasetSplit:
@@ -242,7 +241,6 @@ def stratified_split(m: FeatureMatrix, ratio: float, seed: int) -> DatasetSplit:
     return DatasetSplit(
         train=m.take(np.sort(np.concatenate(train_idx))),
         test=m.take(np.sort(np.concatenate(test_idx))),
-        seed=seed,
     )
 
 
@@ -265,10 +263,12 @@ def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     k = min(k, n_min - 1)
 
     minority_rows = m.x[m.y == minority].astype(np.float64)
-    # Pairwise distances; self excluded, ties broken by index for determinism.
-    deltas = minority_rows[:, None, :] - minority_rows[None, :, :]
-    dists = np.sqrt((deltas**2).sum(axis=2))
-    np.fill_diagonal(dists, np.inf)
+    # Pairwise distances, each row against the rows after it: a difference
+    # squares to the same bits either way round. Self excluded; argsort's
+    # stable order breaks ties by index.
+    dists = np.full((n_min, n_min), np.inf)
+    for i, row in enumerate(minority_rows):
+        dists[i, i + 1 :] = dists[i + 1 :, i] = np.sqrt(((row - minority_rows[i + 1 :]) ** 2).sum(axis=1))
     neighbor_idx = np.argsort(dists, axis=1, kind="stable")[:, :k]
 
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ central differences of the loss.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +73,11 @@ def run_gradient_checks(
     x = rng.normal(0.0, 1.0, (3, input_length))
     y = rng.integers(0, 2, 3).astype(np.float64)
 
-    out, caches = net.forward(x, train=True, rng=rng, want_caches=True)
-    masks = net.dropout_masks_from_caches(caches)
+    # Every pass draws the same dropout masks, from a fresh copy of this state.
+    out, caches = net.forward(x, train=True, rng=copy.deepcopy(rng), want_caches=True)
 
     def loss_fn() -> float:
-        preds = net.forward(x, train=True, masks=masks).reshape(-1)
+        preds = net.forward(x, train=True, rng=copy.deepcopy(rng)).reshape(-1)
         loss, _ = batch_bce_l2(preds, y, net, lam)
         return loss
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -133,11 +134,15 @@ class RejectedSequence:
         return f"invalid character {self.character!r} at position {self.position}"
 
 
+_ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
+
+
 def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence]]:
     """Parse FASTA text into (id, sequence) pairs, order preserved.
 
-    Sequences are uppercased with whitespace removed. Records containing any
-    character outside the 20-letter alphabet (X, gaps, stops, ...) are
+    Sequences have whitespace removed and ASCII letters upper-cased; other
+    characters are kept as they are. Records containing any character
+    outside the 20-letter alphabet (X, gaps, stops, non-ASCII, ...) are
     excluded and reported with the 1-based offset of the first bad character.
     A sequence line before any header is a parse error.
     """
@@ -150,6 +155,9 @@ def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence
         if current_id is None:
             return
         seq = "".join(chunks)
+        # Upper-case ASCII letters only (`str.upper` turns `ß` into `SS`);
+        # `upper` does just that on ASCII text, and faster than `translate`.
+        seq = seq.upper() if seq.isascii() else seq.translate(_ASCII_UPPER)
         if not seq:
             rejects.append(RejectedSequence(current_id, 0, ""))
             return
@@ -171,7 +179,7 @@ def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence
         else:
             if current_id is None:
                 raise FastaError(f"line {lineno}: sequence data before any header")
-            chunks.append("".join(line.split()).upper())
+            chunks.append("".join(line.split()))
     flush()
     return records, rejects
 

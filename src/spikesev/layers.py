@@ -206,23 +206,23 @@ def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
 # ---------------------------------------------------------------------------
 # MaxPool1D (stride == pool, trailing remainder dropped)
 
-def maxpool1d_forward(x: np.ndarray, pool: int):
+def _tiles(x: np.ndarray, pool: int) -> np.ndarray:
+    """(B, L, C) -> a (B, L // pool, pool, C) view of the pooled windows."""
     b, length, c = x.shape
     out_len = length // pool
-    tiles = x[:, : out_len * pool, :].reshape(b, out_len, pool, c)
-    arg = tiles.argmax(axis=2)  # first max wins on ties
-    y = np.take_along_axis(tiles, arg[:, :, None, :], axis=2).squeeze(2)
-    return y, (arg, x.shape)
+    return x[:, : out_len * pool, :].reshape(b, out_len, pool, c)
+
+
+def maxpool1d_forward(x: np.ndarray, pool: int):
+    return _tiles(x, pool).max(axis=2), (x,)
 
 
 def maxpool1d_backward(dy: np.ndarray, cache, pool: int):
-    arg, x_shape = cache
-    b, length, c = x_shape
-    out_len = length // pool
-    dtiles = np.zeros((b, out_len, pool, c), dtype=dy.dtype)
-    np.put_along_axis(dtiles, arg[:, :, None, :], dy[:, :, None, :], axis=2)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    dx[:, : out_len * pool, :] = dtiles.reshape(b, out_len * pool, c)
+    """Each window's gradient goes to its first maximum."""
+    (x,) = cache
+    arg = _tiles(x, pool).argmax(axis=2)
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    np.put_along_axis(_tiles(dx, pool), arg[:, :, None, :], dy[:, :, None, :], axis=2)
     return dx
 
 
@@ -247,58 +247,48 @@ def dropout_backward(dy: np.ndarray, rate: float, mask: np.ndarray) -> np.ndarra
 # Gate layout along the 4U axis: input, forget, candidate, output.
 
 def lstm_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray):
-    """x (B, T, C), w (C, 4U), u (U, 4U), b (4U,) -> h_T (B, U)."""
+    """x (B, T, C), w (C, 4U), u (U, 4U), b (4U,) -> h_T (B, U).
+
+    Caches h and c over steps 0..T and the activated gates of each step,
+    stacked as one (T, B, 4U) array."""
     batch, steps, _ = x.shape
     units = u.shape[0]
     if steps == 0:
         raise ValueError("lstm input has zero time steps")
-    h = np.zeros((batch, units), dtype=x.dtype)
-    c = np.zeros((batch, units), dtype=x.dtype)
-    gi = np.empty((steps, batch, units), dtype=x.dtype)
-    gf = np.empty_like(gi)
-    gg = np.empty_like(gi)
-    go = np.empty_like(gi)
-    tanh_c = np.empty_like(gi)
-    h_prev = np.empty_like(gi)
-    c_prev = np.empty_like(gi)
+    h = np.zeros((steps + 1, batch, units), dtype=x.dtype)
+    c = np.zeros_like(h)
+    gates = np.empty((steps, batch, 4 * units), dtype=x.dtype)
     for t in range(steps):
-        z = x[:, t, :] @ w + h @ u + b
-        i = sigmoid(z[:, :units])
-        f = sigmoid(z[:, units : 2 * units])
-        g = np.tanh(z[:, 2 * units : 3 * units])
-        o = sigmoid(z[:, 3 * units :])
-        h_prev[t], c_prev[t] = h, c
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gi[t], gf[t], gg[t], go[t], tanh_c[t] = i, f, g, o, tc
-    return h, (x, h_prev, c_prev, gi, gf, gg, go, tanh_c)
+        z = x[:, t, :] @ w + h[t] @ u + b
+        gates[t] = sigmoid(z)
+        gates[t, :, 2 * units : 3 * units] = np.tanh(z[:, 2 * units : 3 * units])
+        i, f, g, o = np.split(gates[t], 4, axis=1)
+        c[t + 1] = f * c[t] + i * g
+        h[t + 1] = o * np.tanh(c[t + 1])
+    return h[steps], (x, h, c, gates)
 
 
 def lstm_backward(dh: np.ndarray, cache, w: np.ndarray, u: np.ndarray):
-    x, h_prev, c_prev, gi, gf, gg, go, tanh_c = cache
-    steps = gi.shape[0]
+    x, h, c, gates = cache
+    steps, batch, _ = gates.shape
     units = u.shape[0]
     dw = np.zeros_like(w)
     du = np.zeros_like(u)
     db = np.zeros(4 * units, dtype=w.dtype)
     dx = np.empty_like(x)
     dc = np.zeros_like(dh)
+    dz = np.empty((batch, 4 * units), dtype=np.result_type(dh, gates))
+    dzi, dzf, dzg, dzo = np.split(dz, 4, axis=1)
     for t in reversed(range(steps)):
-        i, f, g, o, tc = gi[t], gf[t], gg[t], go[t], tanh_c[t]
-        do = dh * tc
+        i, f, g, o = np.split(gates[t], 4, axis=1)
+        tc = np.tanh(c[t + 1])
+        dzo[:] = dh * tc * o * (1.0 - o)
         dc = dc + dh * o * (1.0 - tc**2)
-        dz = np.concatenate(
-            [
-                dc * g * i * (1.0 - i),
-                dc * c_prev[t] * f * (1.0 - f),
-                dc * i * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
+        dzi[:] = dc * g * i * (1.0 - i)
+        dzf[:] = dc * c[t] * f * (1.0 - f)
+        dzg[:] = dc * i * (1.0 - g**2)
         dw += x[:, t, :].T @ dz
-        du += h_prev[t].T @ dz
+        du += h[t].T @ dz
         db += dz.sum(axis=0)
         dx[:, t, :] = dz @ w.T
         dh = dz @ u.T
@@ -320,13 +310,13 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str):
         a = sigmoid(z)
     else:
         a = z
-    return a, (x, z, a)
+    return a, (x, a)
 
 
 def dense_backward(dy: np.ndarray, cache, w: np.ndarray, activation: str):
-    x, z, a = cache
+    x, a = cache
     if activation == "relu":
-        dz = dy * (z > 0)
+        dz = dy * (a > 0)
     elif activation == "sigmoid":
         dz = dy * a * (1.0 - a)
     else:

@@ -133,23 +133,20 @@ class Network:
                     total += float((tensor.astype(np.float64) ** 2).sum())
         return total
 
-    def forward(self, x: np.ndarray, train: bool = False, rng=None, masks=None, want_caches: bool = False):
+    def forward(self, x: np.ndarray, train: bool = False, rng=None, want_caches: bool = False):
         """Run the stack on a (batch, input_length) matrix.
 
-        In train mode dropout masks are taken from `masks` when given,
-        otherwise sampled from `rng`. With `want_caches` it also returns the
-        caches the backward pass needs (conv inputs, pool argmaxes, gate
-        activations, masks); without, no layer's cache outlives the layer.
+        In train mode dropout masks are sampled from `rng`. With
+        `want_caches` it also returns the caches the backward pass needs
+        (layer inputs, gate activations, masks); without, no layer's cache
+        outlives the layer.
         """
         if x.ndim != 2 or x.shape[1] != self.input_length:
             raise ValueError(f"expected input (batch, {self.input_length}), got {x.shape}")
-        remaining = list(masks or ())
 
         def mask_source(shape, rate):
-            if masks is not None:
-                return remaining.pop(0)
             if rng is None:
-                raise ValueError("train-mode dropout needs an rng or explicit masks")
+                raise ValueError("train-mode dropout needs an rng")
             return sample_dropout_mask(rng, shape, rate)
 
         cur = x.astype(self.dtype, copy=False)[:, :, None]

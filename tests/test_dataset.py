@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,57 @@ class TestSmote:
                     t = np.clip(np.dot(s - x, seg) / max(np.dot(seg, seg), 1e-30), 0.0, 1.0)
                     best = min(best, np.linalg.norm(s - (x + t * seg)))
             assert best < 1e-6
+
+
+    @pytest.mark.parametrize("minority_label, k", [(1, 5), (0, 3), (1, 1)])
+    def test_matches_the_pairwise_tensor_reference(self, minority_label, k):
+        # Small integer features and repeated rows give many tied distances,
+        # so the stable index tie-break decides which neighbours are taken.
+        rng = np.random.default_rng(k)
+        minority = rng.integers(0, 3, (24, 7)).astype(np.float32)
+        minority[12:] = minority[:12]
+        majority = rng.normal(size=(40, 7)).astype(np.float32)
+        x = np.concatenate([minority, majority])
+        y = [minority_label] * 24 + [1 - minority_label] * 40
+        m = FeatureMatrix(x, y, [f"ID{i}" for i in range(len(y))])
+        balanced = smote(m, k=k, seed=9)
+        assert balanced.x[len(m) :].tobytes() == _reference_smote_synthetics(x, np.array(y), k, 9).tobytes()
+
+    def test_memory_linear_in_the_minority_rows(self):
+        # The pairwise difference tensor would take 8 * 100 * 100 * 256 bytes
+        # (20 MB); row by row needs a few copies of the rows plus the
+        # 100 x 100 distance matrix.
+        m = _matrix(120, 100, dim=256, seed=4)
+        tracemalloc.start()
+        try:
+            smote(m, k=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        minority_bytes = 100 * 256 * 8
+        assert peak < 6 * minority_bytes + 3 * 100 * 100 * 8 + 2 * m.x.nbytes
+
+
+def _reference_smote_synthetics(x, y, k, seed):
+    """SMOTE's synthetic rows with the neighbour search of the full pairwise
+    difference tensor, as `smote` computed it before it went row by row."""
+    counts = np.bincount(y, minlength=2)
+    minority = 0 if counts[0] < counts[1] else 1
+    n_min, n_maj = int(counts[minority]), int(counts[1 - minority])
+    k = min(k, n_min - 1)
+    rows = x[y == minority].astype(np.float64)
+    deltas = rows[:, None, :] - rows[None, :, :]
+    dists = np.sqrt((deltas**2).sum(axis=2))
+    np.fill_diagonal(dists, np.inf)
+    neighbor_idx = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    rng = np.random.default_rng(seed)
+    synthetic = np.empty((n_maj - n_min, x.shape[1]), dtype=np.float32)
+    for i in range(len(synthetic)):
+        x_i = int(rng.integers(0, n_min))
+        z_i = int(neighbor_idx[x_i, int(rng.integers(0, k))])
+        lam = float(rng.random())
+        synthetic[i] = rows[x_i] + lam * (rows[z_i] - rows[x_i])
+    return synthetic
 
 
 class TestMatrixIO:

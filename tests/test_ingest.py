@@ -66,6 +66,16 @@ class TestParseFasta:
         records, _ = parse_fasta(">a\nmkvll\n")
         assert records == [("a", "MKVLL")]
 
+    # `str.upper` maps these to ASCII residues: ß -> SS, ﬁ -> FI, ı -> I, ſ -> S.
+    @pytest.mark.parametrize(
+        "sequence, position, character",
+        [("MKßV", 3, "ß"), ("mkßv", 3, "ß"), ("MKﬁV", 3, "ﬁ"), ("MKıV", 3, "ı"), ("acdſ", 4, "ſ")],
+    )
+    def test_non_ascii_letters_are_not_upper_cased_into_residues(self, sequence, position, character):
+        records, rejects = parse_fasta(f">a\n{sequence}\n")
+        assert records == []
+        assert [(r.record_id, r.position, r.character) for r in rejects] == [("a", position, character)]
+
     def test_sequence_before_header_is_parse_error(self):
         with pytest.raises(FastaError, match="line 1"):
             parse_fasta("MKVLL\n>a\nMKV\n")

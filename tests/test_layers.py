@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,9 @@ class TestMaxPool1D:
 
     def test_tie_takes_first_maximum(self):
         x = np.array([7.0, 7.0]).reshape(1, 2, 1)
-        _, (arg, _) = maxpool1d_forward(x, 2)
-        assert arg[0, 0, 0] == 0
+        y, cache = maxpool1d_forward(x, 2)
+        dx = maxpool1d_backward(np.ones_like(y), cache, 2)
+        assert dx.reshape(-1).tolist() == [1.0, 0.0]
 
     def test_backward_routes_each_gradient_to_one_position(self):
         rng = np.random.default_rng(2)
@@ -275,3 +278,165 @@ def test_stable_sigmoid_extremes():
     y = sigmoid(x)
     assert y[0] == 0.0 and y[1] == 0.5 and y[2] == 1.0
     assert np.isfinite(sigmoid(np.array([-1e4, 1e4]))).all()
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the pool, LSTM and dense kernels as they were before
+# their caches were cut to what backward reads. The current kernels must give
+# the same bytes, forward and backward.
+
+def _ref_maxpool1d_forward(x, pool):
+    b, length, c = x.shape
+    out_len = length // pool
+    tiles = x[:, : out_len * pool, :].reshape(b, out_len, pool, c)
+    arg = tiles.argmax(axis=2)
+    y = np.take_along_axis(tiles, arg[:, :, None, :], axis=2).squeeze(2)
+    return y, (arg, x.shape)
+
+
+def _ref_maxpool1d_backward(dy, cache, pool):
+    arg, x_shape = cache
+    b, length, c = x_shape
+    out_len = length // pool
+    dtiles = np.zeros((b, out_len, pool, c), dtype=dy.dtype)
+    np.put_along_axis(dtiles, arg[:, :, None, :], dy[:, :, None, :], axis=2)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    dx[:, : out_len * pool, :] = dtiles.reshape(b, out_len * pool, c)
+    return dx
+
+
+def _ref_lstm_forward(x, w, u, b):
+    batch, steps, _ = x.shape
+    units = u.shape[0]
+    h = np.zeros((batch, units), dtype=x.dtype)
+    c = np.zeros((batch, units), dtype=x.dtype)
+    gi = np.empty((steps, batch, units), dtype=x.dtype)
+    gf, gg, go, tanh_c, h_prev, c_prev = (np.empty_like(gi) for _ in range(6))
+    for t in range(steps):
+        z = x[:, t, :] @ w + h @ u + b
+        i = sigmoid(z[:, :units])
+        f = sigmoid(z[:, units : 2 * units])
+        g = np.tanh(z[:, 2 * units : 3 * units])
+        o = sigmoid(z[:, 3 * units :])
+        h_prev[t], c_prev[t] = h, c
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        gi[t], gf[t], gg[t], go[t], tanh_c[t] = i, f, g, o, tc
+    return h, (x, h_prev, c_prev, gi, gf, gg, go, tanh_c)
+
+
+def _ref_lstm_backward(dh, cache, w, u):
+    x, h_prev, c_prev, gi, gf, gg, go, tanh_c = cache
+    steps = gi.shape[0]
+    units = u.shape[0]
+    dw = np.zeros_like(w)
+    du = np.zeros_like(u)
+    db = np.zeros(4 * units, dtype=w.dtype)
+    dx = np.empty_like(x)
+    dc = np.zeros_like(dh)
+    for t in reversed(range(steps)):
+        i, f, g, o, tc = gi[t], gf[t], gg[t], go[t], tanh_c[t]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc**2)
+        dz = np.concatenate(
+            [dc * g * i * (1.0 - i), dc * c_prev[t] * f * (1.0 - f), dc * i * (1.0 - g**2), do * o * (1.0 - o)],
+            axis=1,
+        )
+        dw += x[:, t, :].T @ dz
+        du += h_prev[t].T @ dz
+        db += dz.sum(axis=0)
+        dx[:, t, :] = dz @ w.T
+        dh = dz @ u.T
+        dc = dc * f
+    return dx, dw, du, db
+
+
+def _ref_dense_forward(x, w, b, activation):
+    z = x @ w + b
+    if activation == "relu":
+        a = np.maximum(z, 0.0)
+    elif activation == "sigmoid":
+        a = sigmoid(z)
+    else:
+        a = z
+    return a, (x, z, a)
+
+
+def _ref_dense_backward(dy, cache, w, activation):
+    x, z, a = cache
+    if activation == "relu":
+        dz = dy * (z > 0)
+    elif activation == "sigmoid":
+        dz = dy * a * (1.0 - a)
+    else:
+        dz = dy
+    return dz @ w.T, x.T @ dz, dz.sum(axis=0)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+DTYPES = (np.float32, np.float64)
+
+
+class TestAgainstReferenceKernels:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "length, pool, tied",
+        [(12, 2, False), (11, 2, False), (13, 3, False), (12, 2, True), (11, 3, True), (5, 1, False)],
+    )
+    def test_maxpool(self, dtype, length, pool, tied):
+        rng = np.random.default_rng(length * pool)
+        shape = (3, length, 4)
+        # Values from {1, 2, 3} make most windows hold a tied maximum.
+        x = (rng.integers(1, 4, shape) if tied else rng.normal(size=shape)).astype(dtype)
+        y, cache = maxpool1d_forward(x, pool)
+        ref_y, ref_cache = _ref_maxpool1d_forward(x, pool)
+        _assert_same_bytes(y, ref_y)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        _assert_same_bytes(maxpool1d_backward(dy, cache, pool), _ref_maxpool1d_backward(dy, ref_cache, pool))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_lstm(self, dtype):
+        rng = np.random.default_rng(5)
+        x, w, u, b, dh = (
+            rng.normal(size=shape).astype(dtype) * scale
+            for shape, scale in (((3, 9, 2), 1.0), ((2, 20), 0.5), ((5, 20), 0.5), ((20,), 0.3), ((3, 5), 1.0))
+        )
+        h, cache = lstm_forward(x, w, u, b)
+        ref_h, ref_cache = _ref_lstm_forward(x, w, u, b)
+        _assert_same_bytes(h, ref_h)
+        for got, want in zip(lstm_backward(dh, cache, w, u), _ref_lstm_backward(dh, ref_cache, w, u)):
+            _assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "linear"])
+    def test_dense(self, dtype, activation):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(5, 4)).astype(dtype)
+        x[0] = 0.0  # with b[0] = 0 this row's first pre-activation is exactly 0
+        w = rng.normal(size=(4, 3)).astype(dtype)
+        b = rng.normal(size=3).astype(dtype)
+        b[0] = 0.0
+        dy = rng.normal(size=(5, 3)).astype(dtype)
+        a, cache = dense_forward(x, w, b, activation)
+        ref_a, ref_cache = _ref_dense_forward(x, w, b, activation)
+        _assert_same_bytes(a, ref_a)
+        got = dense_backward(dy, cache, w, activation)
+        for g, want in zip(got, _ref_dense_backward(dy, ref_cache, w, activation)):
+            _assert_same_bytes(g, want)
+
+
+def test_maxpool_forward_allocates_only_its_output():
+    x = np.random.default_rng(8).normal(size=(4, 2000, 8)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        y, _ = maxpool1d_forward(x, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * y.nbytes

@@ -101,6 +101,13 @@ class TestForwardBackward:
         b = tiny_net.forward(x, train=True, rng=np.random.default_rng(11))
         assert a.tobytes() == b.tobytes()
 
+    def test_train_mode_needs_an_rng_only_for_dropout(self, tiny_net):
+        x = np.random.default_rng(0).normal(size=(2, 40)).astype(np.float32)
+        with pytest.raises(ValueError, match="needs an rng"):
+            tiny_net.forward(x, train=True)
+        no_dropout = Network(40, [s for s in tiny_net.specs if not isinstance(s, DropoutSpec)], seed=5)
+        assert no_dropout.forward(x, train=True).tobytes() == no_dropout.forward(x).tobytes()
+
     def test_output_in_unit_interval(self, tiny_net):
         x = np.random.default_rng(1).normal(size=(6, 40)).astype(np.float32)
         y = tiny_net.forward(x)
