@@ -172,6 +172,7 @@ def cmd_train(cfg: RunConfig, matrix_path: str, val_matrix: str | None) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, checkpoint_path: str, matrix_path: str) -> int:
+    evaluation.check_threshold(cfg.threshold)
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
     net, _, _ = ckpt.load_checkpoint(checkpoint_path, expect_registry_hash=registry.content_hash)
@@ -191,6 +192,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str, matrix_path: str) -> int:
 
 
 def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort_path: str) -> int:
+    evaluation.check_threshold(cfg.threshold)
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
     net, _, _ = ckpt.load_checkpoint(checkpoint_path, expect_registry_hash=registry.content_hash)

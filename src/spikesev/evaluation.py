@@ -36,14 +36,20 @@ class ConfusionMatrix:
         )
 
 
+def check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+
+
 def confusion(y_true, scores, threshold: float = 0.5) -> ConfusionMatrix:
+    check_threshold(threshold)
     y = np.asarray(y_true)
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
         raise ValueError(f"length mismatch: {y.shape} labels vs {s.shape} scores")
     if y.size == 0:
         raise ValueError("empty input")
-    if s.min() < 0.0 or s.max() > 1.0:
+    if not (s.min() >= 0.0 and s.max() <= 1.0):  # a NaN score makes min and max NaN
         raise ValueError("scores must lie in [0, 1]")
     pred = s >= threshold
     actual = y == 1
@@ -121,20 +127,6 @@ def prf(cm: ConfusionMatrix, convention: str) -> PRF:
     return PRF(sums[0] / weight_total, sums[1] / weight_total, sums[2] / weight_total, degenerate)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the mean of their rank range."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def roc_auc(y_true, scores) -> float:
     """Probability a random positive outscores a random negative (ties 1/2).
 
@@ -145,11 +137,16 @@ def roc_auc(y_true, scores) -> float:
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape or y.size == 0:
         raise ValueError("labels and scores must be equal-length and non-empty")
+    if np.isnan(s).any():
+        raise ValueError("scores contain NaN")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC-AUC needs both classes present")
-    ranks = _midranks(s)
+    # Ranks 1..n, tied scores sharing the mean of their rank range.
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = ((2 * ends - counts + 1) / 2)[inverse]
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

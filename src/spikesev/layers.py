@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 
@@ -171,35 +170,33 @@ LAYER_KINDS = {cls.kind: cls for cls in (Conv1DSpec, MaxPool1DSpec, DropoutSpec,
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))  # exp of no positive value
 
 
 # ---------------------------------------------------------------------------
 # Conv1D (valid convolution, stride 1, no padding)
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """x (B, L, C), w (k, C, F), b (F,) -> (B, L-k+1, F)."""
+    """x (B, L, C), w (k, C, F), b (F,) -> (B, L-k+1, F): sum over j of x shifted by j @ w[j]."""
     k = w.shape[0]
     if x.shape[1] < k:
         raise ValueError(f"input length {x.shape[1]} shorter than kernel {k}")
-    windows = sliding_window_view(x, k, axis=1)  # (B, L-k+1, C, k)
-    y = np.einsum("btck,kcf->btf", windows, w) + b
+    steps = x.shape[1] - k + 1
+    y = x[:, :steps] @ w[0]
+    for j in range(1, k):
+        y += x[:, j : j + steps] @ w[j]
+    y += b
     return y, x
 
 
 def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     k = w.shape[0]
-    windows = sliding_window_view(x, k, axis=1)
-    dw = np.einsum("btck,btf->kcf", windows, dy)
+    steps = dy.shape[1]
+    dx = np.zeros(x.shape, dtype=np.result_type(dy, w))
+    for j in range(k):
+        dx[:, j : j + steps] += dy @ w[j].T
+    dw = np.stack([(x[:, j : j + steps].transpose(0, 2, 1) @ dy).sum(axis=0) for j in range(k)])
     db = dy.sum(axis=(0, 1))
-    dyp = np.pad(dy, ((0, 0), (k - 1, k - 1), (0, 0)))
-    dy_windows = sliding_window_view(dyp, k, axis=1)  # (B, L, F, k)
-    dx = np.einsum("btfk,kcf->btc", dy_windows, w[::-1])
     return dx, dw, db
 
 
@@ -257,9 +254,9 @@ def lstm_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray):
         raise ValueError("lstm input has zero time steps")
     h = np.zeros((steps + 1, batch, units), dtype=x.dtype)
     c = np.zeros_like(h)
-    gates = np.empty((steps, batch, 4 * units), dtype=x.dtype)
+    gates = np.matmul(x.transpose(1, 0, 2), w)  # every step's x_t @ w, activated in place below
     for t in range(steps):
-        z = x[:, t, :] @ w + h[t] @ u + b
+        z = gates[t] + h[t] @ u + b
         gates[t] = sigmoid(z)
         gates[t, :, 2 * units : 3 * units] = np.tanh(z[:, 2 * units : 3 * units])
         i, f, g, o = np.split(gates[t], 4, axis=1)

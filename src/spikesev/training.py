@@ -197,6 +197,8 @@ class Range:
             raise ValueError("range high < low")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"unknown scale {self.scale!r}")
+        if self.scale == "log" and self.low <= 0:
+            raise ValueError(f"log-scale range needs low > 0, got {self.low}")
 
     def sample(self, rng: np.random.Generator):
         if self.integer:

@@ -253,6 +253,34 @@ class TestExitCodes:
         assert code == 2
         assert "label must be mild or severe" in capsys.readouterr().err
 
+    def test_log_search_range_at_zero_is_input_error(self, tmp_path, capsys):
+        x, y = separable_blobs(n=20, length=64, seed=1)
+        dataset.write_matrix(dataset.FeatureMatrix(x, y, ["-"] * 20), tmp_path / "x.mat")
+        space = tmp_path / "space.tsv"
+        space.write_text("learning_rate\tlog\t0\t0.01\n")
+        code = main(["search", "--matrix", str(tmp_path / "x.mat"), "--space", str(space),
+                     "--trials", "1", "--k", "2", "--epochs", "1", "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert "log-scale range needs low > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "-2"])
+    def test_threshold_outside_unit_interval_is_input_error(self, tmp_path, fixture_files,
+                                                           threshold, capsys):
+        fasta, meta, cfg = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+              "--workdir", str(wd)])
+        save_checkpoint(Network(600, seed=3), wd / "m.ckpt", default_registry().content_hash)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(wd / "m.ckpt"), "--matrix",
+                     str(wd / "features.mat"), "--threshold", threshold, "--workdir", str(wd)]) == 2
+        assert main(["predict", "--checkpoint", str(wd / "m.ckpt"), "--codebook",
+                     str(wd / "codebook.tsv"), "--cohort", str(wd / "cohort.tsv"),
+                     "--threshold", threshold, "--workdir", str(wd)]) == 2
+        assert capsys.readouterr().err.count("threshold must lie in [0, 1]") == 2
+        assert not (wd / "report.tsv").exists() and not (wd / "predictions.tsv").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("not_a_key = 1\n")

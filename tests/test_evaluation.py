@@ -53,6 +53,15 @@ class TestConfusion:
         with pytest.raises(ValueError, match="scores"):
             confusion([0, 1], [0.5, 1.2])
 
+    def test_nan_score_refused(self):
+        with pytest.raises(ValueError, match="scores"):
+            confusion([0, 1, 1], [0.2, np.nan, 0.9])
+
+    @pytest.mark.parametrize("threshold", [np.nan, 1.5, -2.0])
+    def test_threshold_outside_unit_interval_refused(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            confusion([0, 1], [0.2, 0.9], threshold=threshold)
+
     def test_tsv_orientation(self, ref_cm):
         lines = ref_cm.to_tsv().splitlines()
         assert lines[1] == f"actual_negative\t{REF_TN}\t{REF_FP}"
@@ -142,6 +151,10 @@ class TestRocAuc:
     def test_one_class_absent(self):
         with pytest.raises(ValueError, match="both classes"):
             roc_auc([1, 1], [0.2, 0.4])
+
+    def test_nan_score_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            roc_auc([0, 1, 0, 1], [0.1, np.nan, 0.3, 0.8])
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(99)

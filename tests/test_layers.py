@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spikesev.layers import (
     Conv1DSpec,
@@ -283,7 +284,33 @@ def test_stable_sigmoid_extremes():
 # ---------------------------------------------------------------------------
 # Reference kernels: the pool, LSTM and dense kernels as they were before
 # their caches were cut to what backward reads. The current kernels must give
-# the same bytes, forward and backward.
+# the same bytes, forward and backward. The conv kernels as they were before
+# they became k shifted matmuls sum in another order, so they agree to
+# rounding; and the masked sigmoid, which the new form must match byte for
+# byte.
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_conv1d_forward(x, w, b):
+    windows = sliding_window_view(x, w.shape[0], axis=1)  # (B, L-k+1, C, k)
+    return np.einsum("btck,kcf->btf", windows, w) + b, x
+
+
+def _ref_conv1d_backward(dy, x, w):
+    k = w.shape[0]
+    dw = np.einsum("btck,btf->kcf", sliding_window_view(x, k, axis=1), dy)
+    db = dy.sum(axis=(0, 1))
+    dyp = np.pad(dy, ((0, 0), (k - 1, k - 1), (0, 0)))
+    dx = np.einsum("btfk,kcf->btc", sliding_window_view(dyp, k, axis=1), w[::-1])
+    return dx, dw, db
+
 
 def _ref_maxpool1d_forward(x, pool):
     b, length, c = x.shape
@@ -384,6 +411,39 @@ DTYPES = (np.float32, np.float64)
 
 
 class TestAgainstReferenceKernels:
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize(
+        "batch, length, channels, filters, kernel",
+        [
+            (3, 40, 1, 6, 5),  # one input channel, as in the first layer
+            (4, 33, 7, 5, 4),
+            (2, 12, 3, 4, 1),  # k = 1
+            (2, 6, 3, 4, 6),  # output of length 1
+            (1, 25, 5, 3, 3),  # batch 1
+        ],
+    )
+    def test_conv1d(self, dtype, rtol, batch, length, channels, filters, kernel):
+        rng = np.random.default_rng(length * kernel + channels)
+        x = rng.normal(size=(batch, length, channels)).astype(dtype)
+        w = rng.normal(size=(kernel, channels, filters)).astype(dtype)
+        b = rng.normal(size=filters).astype(dtype)
+        y, cache = conv1d_forward(x, w, b)
+        ref_y, ref_cache = _ref_conv1d_forward(x, w, b)
+        dy = rng.normal(size=ref_y.shape).astype(dtype)
+        pairs = [(y, ref_y), *zip(conv1d_backward(dy, cache, w), _ref_conv1d_backward(dy, ref_cache, w))]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_sigmoid(self, dtype):
+        special = [-0.0, 0.0, 800.0, -800.0, 1e4, -1e4, np.nan, -np.nan, np.inf, -np.inf]
+        x = np.concatenate([special, np.random.default_rng(7).normal(scale=30.0, size=1000)])
+        x = x.astype(dtype)
+        got, want = sigmoid(x), _ref_sigmoid(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # NaN compares by its bits here
+
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize(
         "length, pool, tied",
@@ -429,6 +489,21 @@ class TestAgainstReferenceKernels:
         got = dense_backward(dy, cache, w, activation)
         for g, want in zip(got, _ref_dense_backward(dy, ref_cache, w, activation)):
             _assert_same_bytes(g, want)
+
+
+def test_one_channel_conv_forward_holds_at_most_two_outputs():
+    """The output plus one tap's product: conv1's output sets the inference peak."""
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(4, 3000, 1)).astype(np.float32)
+    w = rng.normal(size=(6, 1, 16)).astype(np.float32)
+    b = np.zeros(16, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        y, _ = conv1d_forward(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * y.nbytes
 
 
 def test_maxpool_forward_allocates_only_its_output():

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spikesev
 from helpers import scaled_stack
 from spikesev.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from spikesev.layers import Conv1DSpec, DenseSpec, DropoutSpec, LSTMSpec
@@ -434,6 +438,36 @@ class TestFormatPin:
         digest = hashlib.sha256(net.predict_scores(x).tobytes()).hexdigest()
         assert digest == "59ebb44486c2255194c6a754b26be2eab47757883992347b87c05fe5d50f0d12"
 
+
+
+_ONE_STOCK_STEP = """
+import hashlib
+import numpy as np
+from spikesev.network import Network
+from spikesev.training import TrainConfig, train
+rng = np.random.default_rng(0)
+x = rng.normal(size=(32, 2091)).astype(np.float32)
+y = (np.arange(32) % 2).astype(np.uint8)
+net = Network(2091, seed=1)
+train(net, x, y, TrainConfig(epochs=1, batch_size=32, seed=1))
+print(hashlib.sha256(b"".join(p[k].tobytes() for p in net.params for k in sorted(p))).hexdigest())
+"""
+
+
+def test_threaded_blas_step_is_reproducible():
+    """At a fixed BLAS thread count, one stock step at 1/8 paper width gives
+    the same parameter bytes in two processes. The conv weight-gradient
+    GEMMs are large enough here to run threaded; the tiny pinned models are not."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(spikesev.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    digests = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", _ONE_STOCK_STEP], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 class TestUnusedParameterInvariance:
     """Widening a layer with parameters that cannot influence the output must

@@ -253,6 +253,13 @@ class TestSearchSpaceParsing:
         with pytest.raises(ValueError, match="kind"):
             parse_search_space("x\tgaussian\t0\t1\n")
 
+    @pytest.mark.parametrize("low", ["0", "-0.001"])
+    def test_log_range_needs_positive_low(self, low):
+        with pytest.raises(ValueError, match="low > 0"):
+            parse_search_space(f"learning_rate\tlog\t{low}\t0.01\n")
+        with pytest.raises(ValueError, match="low > 0"):
+            Range(float(low), 0.01, scale="log")
+
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             parse_search_space("# nothing\n")
