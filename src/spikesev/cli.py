@@ -132,11 +132,11 @@ def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
 def cmd_split(cfg: RunConfig, matrix_path: str) -> int:
     wd = _workdir(cfg)
     m = dataset.read_matrix(matrix_path)
-    split = dataset.stratified_split(m, cfg.ratio, cfg.split_seed)
-    dataset.write_matrix(split.train, wd / "train.mat")
-    dataset.write_matrix(split.test, wd / "test.mat")
+    train_idx, test_idx = dataset.split_indices(m.y, cfg.ratio, cfg.split_seed)
+    for name, idx in (("train", train_idx), ("test", test_idx)):  # one part alive at a time
+        dataset.write_matrix(m.take(idx), wd / f"{name}.mat")
     _write_resolved(cfg, wd, "split")
-    print(f"split {len(m)} rows into {len(split.train)} train / {len(split.test)} test")
+    print(f"split {len(m)} rows into {len(train_idx)} train / {len(test_idx)} test")
     return EXIT_OK
 
 

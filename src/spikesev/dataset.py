@@ -219,15 +219,16 @@ class DatasetSplit:
     test: FeatureMatrix
 
 
-def stratified_split(m: FeatureMatrix, ratio: float, seed: int) -> DatasetSplit:
-    """Per-class seeded shuffle; floor(ratio * n_class) to train, rest to test.
+def split_indices(y: np.ndarray, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class seeded shuffle of the labels `y`; floor(ratio * n_class) of
+    each class to train, the rest to test.
 
-    Deterministic given the seed; both parts keep the input order of their
-    members.
+    Deterministic given the seed; both index arrays are sorted, so each part
+    keeps the input order of its members.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
-    by_class = [np.flatnonzero(m.y == label) for label in (0, 1)]
+    by_class = [np.flatnonzero(y == label) for label in (0, 1)]
     for label, idxs in enumerate(by_class):
         if not idxs.size:
             raise ValueError(f"class {label} has no records")
@@ -238,10 +239,13 @@ def stratified_split(m: FeatureMatrix, ratio: float, seed: int) -> DatasetSplit:
         n_train = int(np.floor(ratio * len(idxs)))
         train_idx.append(idxs[:n_train])
         test_idx.append(idxs[n_train:])
-    return DatasetSplit(
-        train=m.take(np.sort(np.concatenate(train_idx))),
-        test=m.take(np.sort(np.concatenate(test_idx))),
-    )
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+
+
+def stratified_split(m: FeatureMatrix, ratio: float, seed: int) -> DatasetSplit:
+    """The rows of `m` at each part of `split_indices(m.y, ratio, seed)`."""
+    train_idx, test_idx = split_indices(m.y, ratio, seed)
+    return DatasetSplit(train=m.take(train_idx), test=m.take(test_idx))
 
 
 def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:

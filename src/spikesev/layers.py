@@ -177,14 +177,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # Conv1D (valid convolution, stride 1, no padding)
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """x (B, L, C), w (k, C, F), b (F,) -> (B, L-k+1, F): sum over j of x shifted by j @ w[j]."""
+    """x (B, L, C), w (k, C, F), b (F,) -> (B, L-k+1, F): sum over j of x shifted by j @ w[j].
+
+    Each sample's k tap products add into its slice of the output through one
+    reused (L-k+1, F) buffer. With one input channel a tap is an outer
+    product, taken as a broadcast multiply."""
     k = w.shape[0]
     if x.shape[1] < k:
         raise ValueError(f"input length {x.shape[1]} shorter than kernel {k}")
     steps = x.shape[1] - k + 1
-    y = x[:, :steps] @ w[0]
-    for j in range(1, k):
-        y += x[:, j : j + steps] @ w[j]
+    y = np.empty((x.shape[0], steps, w.shape[2]), dtype=np.result_type(x, w))
+    term = np.empty(y.shape[1:], dtype=y.dtype)
+    product = np.multiply if x.shape[2] == 1 else np.matmul
+    for xs, ys in zip(x, y):
+        product(xs[:steps], w[0], out=ys)
+        for j in range(1, k):
+            ys += product(xs[j : j + steps], w[j], out=term)
     y += b
     return y, x
 
@@ -193,8 +201,10 @@ def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     k = w.shape[0]
     steps = dy.shape[1]
     dx = np.zeros(x.shape, dtype=np.result_type(dy, w))
-    for j in range(k):
-        dx[:, j : j + steps] += dy @ w[j].T
+    term = np.empty((steps, x.shape[2]), dtype=dx.dtype)
+    for dys, dxs in zip(dy, dx):
+        for j in range(k):
+            dxs[j : j + steps] += np.matmul(dys, w[j].T, out=term)
     dw = np.stack([(x[:, j : j + steps].transpose(0, 2, 1) @ dy).sum(axis=0) for j in range(k)])
     db = dy.sum(axis=(0, 1))
     return dx, dw, db

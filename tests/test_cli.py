@@ -389,6 +389,24 @@ def test_featurize_holds_one_copy_of_the_matrix(tmp_path, fixture_files, capsys)
     capsys.readouterr()
 
 
+def test_split_holds_one_part_at_a_time(tmp_path, capsys):
+    """The read matrix plus one part: the train part is written and dropped
+    before the test part is taken; both parts at once reach twice the matrix."""
+    x, y = separable_blobs(n=400, length=2000)
+    dataset.write_matrix(dataset.FeatureMatrix(x, y, [f"r{i}" for i in range(len(y))]),
+                         tmp_path / "features.mat")
+    tracemalloc.start()
+    try:
+        code = main(["split", "--matrix", str(tmp_path / "features.mat"),
+                     "--workdir", str(tmp_path / "w"), "--ratio", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.6 * x.nbytes, (peak, x.nbytes)
+    capsys.readouterr()
+
+
 def test_config_flags_reach_the_resolved_config(tmp_path, fixture_files, capsys):
     """Every flag whose dest is a `RunConfig` field shows up, with its value,
     in the `<command>.resolved.cfg` the command writes."""

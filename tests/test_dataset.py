@@ -16,6 +16,7 @@ from spikesev.dataset import (
     fit_codebook,
     read_matrix,
     smote,
+    split_indices,
     stratified_split,
     to_arrays,
     write_matrix,
@@ -231,6 +232,13 @@ class TestStratifiedSplit:
                     for label, n_class in ((0, n0), (1, n1)):
                         got = _count(part, label)
                         assert abs(got - frac * n_class) <= 1.0
+
+    def test_parts_are_the_split_indices(self):
+        m = _matrix(17, 9)
+        train_idx, test_idx = split_indices(m.y, 0.75, seed=3)
+        split = stratified_split(m, 0.75, seed=3)
+        assert split.train.ids == m.take(train_idx).ids
+        assert split.test.ids == m.take(test_idx).ids
 
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError, match="class"):

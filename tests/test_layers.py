@@ -282,12 +282,13 @@ def test_stable_sigmoid_extremes():
 
 
 # ---------------------------------------------------------------------------
-# Reference kernels: the pool, LSTM and dense kernels as they were before
-# their caches were cut to what backward reads. The current kernels must give
-# the same bytes, forward and backward. The conv kernels as they were before
-# they became k shifted matmuls sum in another order, so they agree to
-# rounding; and the masked sigmoid, which the new form must match byte for
-# byte.
+# Reference kernels. The current kernels must give the same bytes, forward
+# and backward, as the pool, LSTM and dense kernels as they were before their
+# caches were cut to what backward reads; as the conv kernels as whole-batch
+# shifted matmuls (`_batch_conv1d_*`), before they took one sample at a time;
+# and as the masked sigmoid. The conv kernels as they were before they became
+# k shifted matmuls (`_ref_conv1d_*`) sum in another order, so they agree to
+# rounding.
 
 def _ref_sigmoid(x):
     out = np.empty_like(x)
@@ -309,6 +310,26 @@ def _ref_conv1d_backward(dy, x, w):
     db = dy.sum(axis=(0, 1))
     dyp = np.pad(dy, ((0, 0), (k - 1, k - 1), (0, 0)))
     dx = np.einsum("btfk,kcf->btc", sliding_window_view(dyp, k, axis=1), w[::-1])
+    return dx, dw, db
+
+
+def _batch_conv1d_forward(x, w, b):
+    steps = x.shape[1] - w.shape[0] + 1
+    y = x[:, :steps] @ w[0]
+    for j in range(1, w.shape[0]):
+        y += x[:, j : j + steps] @ w[j]
+    y += b
+    return y, x
+
+
+def _batch_conv1d_backward(dy, x, w):
+    k = w.shape[0]
+    steps = dy.shape[1]
+    dx = np.zeros(x.shape, dtype=np.result_type(dy, w))
+    for j in range(k):
+        dx[:, j : j + steps] += dy @ w[j].T
+    dw = np.stack([(x[:, j : j + steps].transpose(0, 2, 1) @ dy).sum(axis=0) for j in range(k)])
+    db = dy.sum(axis=(0, 1))
     return dx, dw, db
 
 
@@ -436,6 +457,35 @@ class TestAgainstReferenceKernels:
             assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "batch, length, channels, filters, kernel",
+        [
+            (3, 40, 1, 6, 5),  # one input channel, as in the first layer
+            (16, 600, 1, 16, 8),
+            (4, 33, 7, 5, 4),
+            (16, 300, 16, 24, 6),
+            (2, 12, 1, 4, 1),  # k = 1
+            (2, 12, 3, 4, 1),
+            (2, 6, 1, 4, 6),  # output of length 1
+            (2, 6, 3, 4, 6),
+            (1, 25, 1, 3, 3),  # batch 1
+            (1, 25, 5, 3, 3),
+        ],
+    )
+    def test_conv1d_same_bytes_as_whole_batch(self, dtype, batch, length, channels, filters, kernel):
+        rng = np.random.default_rng(length * kernel + channels)
+        x = rng.normal(size=(batch, length, channels)).astype(dtype)
+        x[:, 2 * length // 3 :] = 0.0  # a zero tail, like the feature vectors' padding
+        w = rng.normal(size=(kernel, channels, filters)).astype(dtype)
+        b = rng.normal(size=filters).astype(dtype)
+        y, cache = conv1d_forward(x, w, b)
+        ref_y, ref_cache = _batch_conv1d_forward(x, w, b)
+        _assert_same_bytes(y, ref_y)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        for got, want in zip(conv1d_backward(dy, cache, w), _batch_conv1d_backward(dy, ref_cache, w)):
+            _assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_sigmoid(self, dtype):
         special = [-0.0, 0.0, 800.0, -800.0, 1e4, -1e4, np.nan, -np.nan, np.inf, -np.inf]
         x = np.concatenate([special, np.random.default_rng(7).normal(scale=30.0, size=1000)])
@@ -506,12 +556,35 @@ def test_one_channel_conv_forward_holds_at_most_two_outputs():
     assert peak <= 2.1 * y.nbytes
 
 
-def test_maxpool_forward_allocates_only_its_output():
-    x = np.random.default_rng(8).normal(size=(4, 2000, 8)).astype(np.float32)
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        y, _ = maxpool1d_forward(x, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("channels", [1, 8])
+def test_conv_forward_holds_the_output_and_one_sample_product(channels):
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(16, 3000, channels)).astype(np.float32)
+    w = rng.normal(size=(6, channels, 16)).astype(np.float32)
+    b = rng.normal(size=16).astype(np.float32)
+    (y, _), peak = _traced_peak(conv1d_forward, x, w, b)
+    assert peak <= 1.15 * y.nbytes, (peak, y.nbytes)
+
+
+def test_conv_backward_holds_dx_dw_and_one_sample_product():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(16, 3000, 8)).astype(np.float32)
+    w = rng.normal(size=(6, 8, 16)).astype(np.float32)
+    dy = rng.normal(size=(16, 2995, 16)).astype(np.float32)
+    (dx, dw, _), peak = _traced_peak(conv1d_backward, dy, x, w)
+    assert peak <= 1.15 * (dx.nbytes + dw.nbytes), (peak, dx.nbytes + dw.nbytes)
+
+
+def test_maxpool_forward_allocates_only_its_output():
+    x = np.random.default_rng(8).normal(size=(4, 2000, 8)).astype(np.float32)
+    (y, _), peak = _traced_peak(maxpool1d_forward, x, 2)
     assert peak <= 1.1 * y.nbytes
