@@ -70,6 +70,11 @@ def _train_config(cfg: RunConfig) -> training.TrainConfig:
     )
 
 
+def _warn_truncated(truncated: int) -> None:
+    if truncated:
+        print(f"warning: residue block truncated for {truncated} record(s)", file=sys.stderr)
+
+
 def _arch_from_config(cfg: RunConfig) -> Architecture:
     return Architecture(**{f.name: getattr(cfg, f.name) for f in fields(Architecture)})
 
@@ -117,8 +122,7 @@ def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to featurize")
     codebook = dataset.fit_codebook(records, age_binning=cfg.age_binning)
     m, truncated = dataset.featurize(records, registry, codebook, cfg.n_model, _block_weights(cfg))
-    if truncated:
-        print(f"warning: residue block truncated for {truncated} record(s)", file=sys.stderr)
+    _warn_truncated(truncated)
     dataset.write_matrix(m, wd / "features.mat")
     (wd / "codebook.tsv").write_text(codebook.to_text(registry.content_hash), encoding="utf-8")
     _write_resolved(
@@ -202,7 +206,10 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort
     records = ingest.read_cohort(cohort_path)
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to predict")
-    m, _ = dataset.featurize(records, registry, codebook, net.input_length, _block_weights(cfg))
+    m, truncated = dataset.featurize(
+        records, registry, codebook, net.input_length, _block_weights(cfg)
+    )
+    _warn_truncated(truncated)
     scores = net.predict_scores(m.x)
     lines = ["accession\tscore\tpredicted_label\tpredicted_class"]
     for record, score in zip(records, scores):

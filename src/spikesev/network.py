@@ -23,6 +23,7 @@ channels) up to the LSTM and (features,) after it; the input is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,11 @@ from .layers import (
 )
 
 BCE_EPSILON = 1e-7
+# Bytes of the widest layer output one inference batch may hold; a batch
+# takes as many rows as fit, and at least one. Much less than 64 MiB gives
+# paper-width batches of one or two rows, which the LSTM's per-step loop
+# makes slower.
+PREDICT_BATCH_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -184,11 +190,13 @@ class Network:
                 if key != "b":
                     layer_grads[key] = layer_grads[key] + 2.0 * lam * tensor
 
-    def predict_scores(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Inference-mode scores in [0, 1], one per row."""
+    def predict_scores(self, x: np.ndarray) -> np.ndarray:
+        """Inference-mode scores in [0, 1], one per row, in batches whose
+        widest layer output fits in PREDICT_BATCH_BYTES."""
+        widest = max(math.prod(s) for s in infer_shapes(self.specs, self.input_length))
+        rows = max(1, PREDICT_BATCH_BYTES // (widest * np.dtype(self.dtype).itemsize))
         scores = [
-            self.forward(x[i : i + batch_size]).reshape(-1)
-            for i in range(0, x.shape[0], batch_size)
+            self.forward(x[i : i + rows]).reshape(-1) for i in range(0, x.shape[0], rows)
         ]
         return np.concatenate(scores) if scores else np.zeros(0, dtype=self.dtype)
 

@@ -50,6 +50,20 @@ class EpochLog:
     val_accuracy: float | None = None
 
 
+def _check_labelled(name: str, x: np.ndarray, y: np.ndarray, input_length: int) -> None:
+    """ValueError unless `x` is (rows, input_length), rows > 0, with one
+    label per row."""
+    if x.ndim != 2 or x.shape[1] != input_length:
+        raise ValueError(
+            f"{name} feature width {x.shape[1] if x.ndim == 2 else x.shape} "
+            f"does not match model input length {input_length}"
+        )
+    if len(y) != x.shape[0]:
+        raise ValueError(f"{name} set has {x.shape[0]} rows but {len(y)} labels")
+    if x.shape[0] == 0:
+        raise ValueError(f"empty {name} set")
+
+
 def train(
     network: Network,
     x: np.ndarray,
@@ -65,13 +79,9 @@ def train(
     the 0.5 threshold. A non-finite loss aborts with an epoch/batch
     diagnostic.
     """
-    if x.ndim != 2 or x.shape[1] != network.input_length:
-        raise ValueError(
-            f"feature width {x.shape[1] if x.ndim == 2 else x.shape} "
-            f"does not match model input length {network.input_length}"
-        )
-    if x.shape[0] == 0:
-        raise ValueError("empty training set")
+    _check_labelled("training", x, y, network.input_length)
+    if validation is not None:
+        _check_labelled("validation", *validation, network.input_length)
     n = x.shape[0]
     rng_shuffle = np.random.default_rng([config.seed, 0])
     rng_dropout = np.random.default_rng([config.seed, 1])

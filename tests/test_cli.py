@@ -208,6 +208,39 @@ class TestExitCodes:
         assert code == 2
         assert "width" in capsys.readouterr().err
 
+    def test_train_validation_width_mismatch_writes_no_checkpoint(self, tmp_path, fixture_files,
+                                                                   capsys):
+        fasta, meta, cfg = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+              "--workdir", str(wd)])
+        x, y = separable_blobs(n=8, length=40, seed=1)
+        dataset.write_matrix(dataset.FeatureMatrix(x, y, ["-"] * 8), wd / "other.mat")
+        code = main(["train", "--config", str(cfg), "--matrix", str(wd / "features.mat"),
+                     "--val-matrix", str(wd / "other.mat"), "--workdir", str(wd)])
+        assert code == 2
+        assert "validation feature width 40" in capsys.readouterr().err
+        assert not (wd / "model.ckpt").exists()
+
+    def test_predict_warns_on_truncated_sequences(self, tmp_path, fixture_files, capsys):
+        fasta, meta, cfg = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+              "--workdir", str(wd)])
+        main(["train", "--config", str(cfg), "--matrix", str(wd / "features.mat"),
+              "--workdir", str(wd)])
+        records = read_cohort(wd / "cohort.tsv")[:2]
+        records[0] = dataclasses.replace(records[0], sequence=records[0].sequence * 4)
+        write_cohort(records, wd / "long.tsv")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--checkpoint", str(wd / "model.ckpt"),
+                     "--codebook", str(wd / "codebook.tsv"), "--cohort", str(wd / "long.tsv"),
+                     "--workdir", str(wd)]) == 0
+        assert "warning: residue block truncated for 1 record(s)" in capsys.readouterr().err
+        assert len((wd / "predictions.tsv").read_text().splitlines()) == 3
+
     def test_sidecar_of_another_row_count_is_input_error(self, tmp_path, fixture_files, capsys):
         fasta, meta, cfg = fixture_files
         wd = tmp_path / "w"

@@ -4,11 +4,13 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spikesev
+import spikesev.network as network_module
 from helpers import scaled_stack
 from spikesev.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from spikesev.layers import Conv1DSpec, DenseSpec, DropoutSpec, LSTMSpec
@@ -155,6 +157,57 @@ class TestForwardBackward:
 def bce_l2_one_row(prediction: float, label: int, network: Network, lam: float) -> float:
     loss, _ = batch_bce_l2(np.array([prediction]), np.array([label]), network, lam)
     return loss
+
+
+def _widest_row_bytes(net: Network) -> int:
+    shapes = infer_shapes(net.specs, net.input_length)
+    return max(int(np.prod(s)) for s in shapes) * np.dtype(net.dtype).itemsize
+
+
+class TestPredictBatching:
+    """`predict_scores` takes as many rows per batch as fit the widest layer
+    output into PREDICT_BATCH_BYTES, and at least one."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "budget_rows, batches",
+        [(0.5, [1] * 11), (2.5, [2] * 5 + [1]), (11, [11])],
+        ids=["one-row", "two-rows-odd-tail", "one-batch"],
+    )
+    def test_batches_keep_the_bytes(self, monkeypatch, dtype, budget_rows, batches):
+        net = Network(40, scaled_stack(n_stages=1, filters=3, lstm_units=4, dense_units=5),
+                      seed=5, dtype=dtype)
+        x = np.random.default_rng(1).normal(size=(11, 40)).astype(np.float32)
+        whole = net.forward(x).reshape(-1)
+        budget = int(budget_rows * _widest_row_bytes(net))
+        monkeypatch.setattr(network_module, "PREDICT_BATCH_BYTES", budget)
+        seen = []
+        forward = net.forward
+        monkeypatch.setattr(net, "forward", lambda xb: seen.append(len(xb)) or forward(xb))
+        scores = net.predict_scores(x)
+        assert seen == batches
+        assert scores.dtype == whole.dtype and scores.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_rows_give_an_empty_array_of_the_network_dtype(self, dtype):
+        net = Network(40, scaled_stack(n_stages=1, filters=3, lstm_units=4, dense_units=5),
+                      seed=5, dtype=dtype)
+        scores = net.predict_scores(np.zeros((0, 40), dtype=np.float32))
+        assert scores.shape == (0,) and scores.dtype == dtype
+
+    def test_peak_memory_is_set_by_the_budget_not_the_rows(self, monkeypatch):
+        budget = 1 << 20
+        net = Network(512, seed=0)
+        assert budget // _widest_row_bytes(net) == 4
+        monkeypatch.setattr(network_module, "PREDICT_BATCH_BYTES", budget)
+        x = np.random.default_rng(2).normal(size=(64, 512)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            net.predict_scores(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * budget, (peak, budget)
 
 
 class TestLoss:

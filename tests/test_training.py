@@ -85,6 +85,26 @@ class TestTrain:
                             validation=(x[20:], y[20:]))
         assert all(log.val_loss is not None and log.val_accuracy is not None for log in run_logs)
 
+    @pytest.mark.parametrize(
+        "rows, validation, match",
+        [
+            (20, lambda x, y: (x[20:, :39], y[20:]), "validation feature width 39"),
+            (20, lambda x, y: (x[20:], y[21:]), "validation set has 10 rows but 9 labels"),
+            (19, None, "training set has 19 rows but 20 labels"),
+            (20, lambda x, y: (x[:0], y[:0]), "empty validation set"),
+        ],
+        ids=["val-width", "val-labels", "train-labels", "val-empty"],
+    )
+    def test_mismatched_sets_refused_before_the_first_step(self, rows, validation, match):
+        x, y = separable_blobs(n=30, length=40, seed=2)
+        net = Network(40, scaled_stack(**TINY), seed=3)
+        before = [p.copy() for layer in net.params for p in layer.values()]
+        with pytest.raises(ValueError, match=match):
+            train(net, x[:rows], y[:20], TrainConfig(epochs=1, batch_size=10),
+                  validation=validation(x, y) if validation else None)
+        after = [p for layer in net.params for p in layer.values()]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
     def test_epoch_log_tsv(self):
         logs = [EpochLog(1, 0.5, 0.75), EpochLog(2, 0.4, 0.8, 0.45, 0.7)]
         lines = epoch_logs_tsv(logs).splitlines()
