@@ -99,8 +99,14 @@ class _Reader:
         (n,) = struct.unpack("<I", self.take(4))
         return self.take(n)
 
+    def text(self, what: str) -> str:
+        try:
+            return self.block().decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8") from None
+
     def tensor(self) -> tuple[str, np.ndarray]:
-        name = self.block().decode("utf-8")
+        name = self.text("tensor name")
         (ndim,) = struct.unpack("<B", self.take(1))
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
         count = int(np.prod(shape)) if ndim else 1
@@ -190,7 +196,7 @@ def load_checkpoint(
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     arch = _architecture(reader.block(), path)
-    registry_hash = reader.block().decode("utf-8")
+    registry_hash = reader.text("registry hash")
     if expect_registry_hash is not None and registry_hash != expect_registry_hash:
         raise CheckpointError(
             f"{path}: checkpoint was built against registry {registry_hash[:12]}..., "
@@ -205,6 +211,8 @@ def load_checkpoint(
     _read_tensors(reader, "", expected, network.params)
 
     (has_optimizer,) = struct.unpack("<B", reader.take(1))
+    if has_optimizer not in (0, 1):
+        raise CheckpointError(f"{path}: optimizer flag is {has_optimizer}, expected 0 or 1")
     optimizer = None
     if has_optimizer:
         lr, b1, b2, eps, step = struct.unpack("<ddddQ", reader.take(40))

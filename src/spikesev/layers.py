@@ -225,11 +225,28 @@ def maxpool1d_forward(x: np.ndarray, pool: int):
 
 
 def maxpool1d_backward(dy: np.ndarray, cache, pool: int):
-    """Each window's gradient goes to its first maximum."""
+    """Each window's gradient goes to its first maximum, as `argmax` picks it.
+
+    The window maxima are recomputed, then each offset takes `dy` where it
+    equals its window's maximum and no earlier offset did. A window holding
+    NaN routes its gradient nowhere (argmax would pick the first NaN);
+    training refuses a non-finite loss before any backward pass.
+    """
     (x,) = cache
-    arg = _tiles(x, pool).argmax(axis=2)
+    tiles = _tiles(x, pool)
+    y = tiles.max(axis=2)
     dx = np.zeros(x.shape, dtype=dy.dtype)
-    np.put_along_axis(_tiles(dx, pool), arg[:, :, None, :], dy[:, :, None, :], axis=2)
+    # Multiply bit patterns, not floats: dy * False would leave -0.0 where
+    # dy < 0 (NaN where dy is infinite), not the +0.0 of an unrouted slot.
+    bits = np.dtype(f"u{dx.itemsize}")
+    dbits, dy_bits = _tiles(dx.view(bits), pool), dy.view(bits)
+    taken = np.zeros(dy.shape, dtype=bool)
+    hit = np.empty(dy.shape, dtype=bool)
+    for j in range(pool):
+        np.equal(tiles[:, :, j], y, out=hit)
+        np.greater(hit, taken, out=hit)  # hit and not taken
+        np.multiply(dy_bits, hit, out=dbits[:, :, j])
+        taken |= hit
     return dx
 
 

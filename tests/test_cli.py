@@ -265,6 +265,18 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_checkpoint_with_non_utf8_tensor_name_is_input_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Network(64, seed=3), path, default_registry().content_hash)
+        blob = path.read_bytes()
+        name = b"\x03\x00\x00\x000/w"  # the length-prefixed name of conv1's weight
+        assert blob.count(name) == 1
+        path.write_bytes(blob.replace(name, b"\x03\x00\x00\x00\xff/w"))
+        code = main(["evaluate", "--checkpoint", str(path), "--matrix", str(tmp_path / "x.mat"),
+                     "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert f"error: {path}: tensor name is not UTF-8" in capsys.readouterr().err
+
     def test_malformed_codebook_is_input_error_with_line(self, tmp_path, fixture_files, capsys):
         fasta, meta, _ = fixture_files
         wd = tmp_path / "w"

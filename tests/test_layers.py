@@ -511,6 +511,25 @@ class TestAgainstReferenceKernels:
         _assert_same_bytes(maxpool1d_backward(dy, cache, pool), _ref_maxpool1d_backward(dy, ref_cache, pool))
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("pool, remainder", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2), (4, 0), (4, 3)])
+    def test_maxpool_backward_corners(self, dtype, pool, remainder):
+        rng = np.random.default_rng(pool * 10 + remainder)
+        x = rng.integers(1, 4, (2, 8 * pool + remainder, 3)).astype(dtype)  # many tied maxima
+        x[:, :pool] = 5.0  # every value of the first window equal
+        x[:, pool : 2 * pool] = -np.inf  # a window whose maximum is -inf
+        x[:, 2 * pool : 3 * pool] = -rng.random((2, pool, 3))  # a negative maximum
+        x[:, 3 * pool : 4 * pool : 2] = -0.0  # signed zeros tie with +0.0
+        x[:, 3 * pool + 1 : 4 * pool : 2] = 0.0
+        x[:, 8 * pool :] = 9.0  # the dropped remainder outranks every window
+        y, cache = maxpool1d_forward(x, pool)
+        _, ref_cache = _ref_maxpool1d_forward(x, pool)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dy[:, ::3] = -0.0
+        dy[:, 1::3, 0] = 0.0
+        assert (dy < 0).any() and np.signbit(dy[dy == 0]).any()
+        _assert_same_bytes(maxpool1d_backward(dy, cache, pool), _ref_maxpool1d_backward(dy, ref_cache, pool))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_lstm(self, dtype):
         rng = np.random.default_rng(5)
         x, w, u, b, dh = (
@@ -588,3 +607,12 @@ def test_maxpool_forward_allocates_only_its_output():
     x = np.random.default_rng(8).normal(size=(4, 2000, 8)).astype(np.float32)
     (y, _), peak = _traced_peak(maxpool1d_forward, x, 2)
     assert peak <= 1.1 * y.nbytes
+
+
+def test_maxpool_backward_holds_dx_the_window_maxima_and_two_masks():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(4, 3000, 8)).astype(np.float32)
+    y, cache = maxpool1d_forward(x, 2)
+    dy = rng.normal(size=y.shape).astype(np.float32)
+    dx, peak = _traced_peak(maxpool1d_backward, dy, cache, 2)
+    assert peak <= 2.1 * dx.nbytes, (peak, dx.nbytes)

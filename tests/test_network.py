@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -419,6 +420,35 @@ class TestCheckpointLoaderRefuses:
         assert header + struct.pack("<2I", 4, 1) in blob
         path.write_bytes(blob.replace(header + struct.pack("<2I", 4, 1), header + struct.pack("<2I", 1, 4)))
         with pytest.raises(CheckpointError, match="'m/3/w' has shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("with_optimizer", [False, True])
+    def test_optimizer_flag_other_than_0_or_1(self, tiny_net, tmp_path, with_optimizer):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_net, path, "a" * 64)
+        flag_at = len(path.read_bytes()) - 1  # the flag ends a checkpoint without Adam state
+        save_checkpoint(tiny_net, path, "a" * 64, AdamState.for_network(tiny_net) if with_optimizer else None)
+        blob = bytearray(path.read_bytes())
+        assert blob[flag_at] == int(with_optimizer)
+        blob[flag_at] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: optimizer flag is 7, expected 0 or 1")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "old, new, what",
+        [
+            (b"a" * 64, b"\xff" + b"a" * 63, "registry hash"),
+            (_name_block("1/w"), _name_block("1/w").replace(b"1", b"\xff"), "tensor name"),
+        ],
+        ids=["registry-hash", "tensor-name"],
+    )
+    def test_text_that_is_not_utf8(self, tmp_path, old, new, what):
+        path = tmp_path / "m.ckpt"
+        blob = _twin_dense_checkpoint(path)
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {what} is not UTF-8")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
