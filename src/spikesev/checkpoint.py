@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .layers import LAYER_KINDS, LayerSpec
+from .layers import LAYER_KINDS, LayerSpec, ShapeError
 from .network import AdamState, Network
 
 CHECKPOINT_MAGIC = b"SSEVCKPT"
@@ -31,23 +31,23 @@ def spec_to_dict(spec: LayerSpec) -> dict:
     return {"type": spec.kind, **asdict(spec)}
 
 
-def spec_from_dict(d: dict) -> LayerSpec:
+def spec_from_dict(d: dict, path) -> LayerSpec:
     kind = d.get("type")
     cls = LAYER_KINDS.get(kind)
     if cls is None:
-        raise CheckpointError(f"unknown layer type {kind!r}")
+        raise CheckpointError(f"{path}: unknown layer type {kind!r}")
     values = {k: v for k, v in d.items() if k != "type"}
     types = {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
     if sorted(values) != sorted(types):
-        raise CheckpointError(f"{kind} layer has fields {sorted(values)}, expected {sorted(types)}")
+        raise CheckpointError(f"{path}: {kind} layer has fields {sorted(values)}, expected {sorted(types)}")
     for name, expected in types.items():
         allowed = (int, float) if expected is float else expected  # DropoutSpec(0) saves rate 0
         if isinstance(values[name], bool) or not isinstance(values[name], allowed):
-            raise CheckpointError(f"{kind} layer field {name!r} is not a {expected.__name__}")
+            raise CheckpointError(f"{path}: {kind} layer field {name!r} is not a {expected.__name__}")
     try:
         return cls(**values)
     except ValueError as exc:
-        raise CheckpointError(f"{kind} layer: {exc}") from None
+        raise CheckpointError(f"{path}: {kind} layer: {exc}") from None
 
 
 _ARCH_TYPES = {"input_length": int, "layers": list, "seed": int}
@@ -202,8 +202,11 @@ def load_checkpoint(
             f"{path}: checkpoint was built against registry {registry_hash[:12]}..., "
             f"current registry is {expect_registry_hash[:12]}..."
         )
-    specs = [spec_from_dict(d) for d in arch["layers"]]
-    network = Network(arch["input_length"], specs, seed=arch["seed"])
+    specs = [spec_from_dict(d, path) for d in arch["layers"]]
+    try:
+        network = Network(arch["input_length"], specs, seed=arch["seed"])
+    except ShapeError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     expected = {name: t.shape for name, t in _tensor_items(network.params)}
     (n_tensors,) = struct.unpack("<I", reader.take(4))
     if n_tensors != len(expected):

@@ -176,25 +176,63 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Conv1D (valid convolution, stride 1, no padding)
 
+# Output rows of one block of the one-channel convolution. A block's repeated
+# input, its k weight tiles, its bias tile, one tap product and its slice of
+# the output stay in L2 together: 1 MiB for the stock conv1 (128 float32
+# filters, k = 4). Set in rows, not bytes, so the scratch shrinks with the
+# filter count and stays a small share of the output.
+CONV_BLOCK_ROWS = 256
+
+
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """x (B, L, C), w (k, C, F), b (F,) -> (B, L-k+1, F): sum over j of x shifted by j @ w[j].
 
     Each sample's k tap products add into its slice of the output through one
     reused (L-k+1, F) buffer. With one input channel a tap is an outer
-    product, taken as a broadcast multiply."""
+    product; `_one_channel_conv1d` takes it in blocks instead."""
     k = w.shape[0]
     if x.shape[1] < k:
         raise ValueError(f"input length {x.shape[1]} shorter than kernel {k}")
     steps = x.shape[1] - k + 1
     y = np.empty((x.shape[0], steps, w.shape[2]), dtype=np.result_type(x, w))
+    if x.shape[2] == 1:
+        _one_channel_conv1d(x, w, b, y)
+        return y, x
     term = np.empty(y.shape[1:], dtype=y.dtype)
-    product = np.multiply if x.shape[2] == 1 else np.matmul
     for xs, ys in zip(x, y):
-        product(xs[:steps], w[0], out=ys)
+        np.matmul(xs[:steps], w[0], out=ys)
         for j in range(1, k):
-            ys += product(xs[j : j + steps], w[j], out=term)
+            ys += np.matmul(xs[j : j + steps], w[j], out=term)
     y += b
     return y, x
+
+
+def _one_channel_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, y: np.ndarray) -> None:
+    """Fill y with the one-channel convolution, CONV_BLOCK_ROWS output rows at a time.
+
+    Every multiply and add takes same-shape contiguous operands, which numpy
+    runs at about half the cost of broadcasting a (T, 1) column against an
+    (F,) row: the block's input repeated across the filters, each `w[j]` and
+    `b` tiled down the rows. Each output element gets tap 0, + tap 1, ...,
+    + b, in that order and in each operand's own dtype, so the bytes do not
+    depend on the block size and equal those of one broadcast multiply per
+    tap over the whole sample."""
+    k, _, filters = w.shape
+    steps = y.shape[1]
+    rows = min(steps, CONV_BLOCK_ROWS)
+    taps = [np.tile(wj, (rows, 1)) for wj in w]
+    bias = np.tile(b, (rows, 1))
+    spread = np.empty((rows + k - 1, filters), dtype=x.dtype)
+    term = np.empty((rows, filters), dtype=y.dtype)
+    for xs, ys in zip(x, y):
+        for start in range(0, steps, rows):
+            n = min(rows, steps - start)
+            np.copyto(spread[: n + k - 1], xs[start : start + n + k - 1])
+            out = ys[start : start + n]
+            np.multiply(spread[:n], taps[0][:n], out=out)
+            for j in range(1, k):
+                out += np.multiply(spread[j : j + n], taps[j][:n], out=term[:n])
+            out += bias[:n]
 
 
 def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):

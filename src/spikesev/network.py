@@ -83,8 +83,11 @@ def default_architecture() -> list[LayerSpec]:
 def infer_shapes(specs: list[LayerSpec], input_length: int) -> list[tuple[int, ...]]:
     """Symbolic pass over the stack; one output shape per layer.
 
-    Raises ShapeError naming the first offending layer.
+    Raises ShapeError for an input length below 1 or naming the first
+    offending layer.
     """
+    if input_length < 1:
+        raise ShapeError(f"input length {input_length} < 1")
     shapes: list[tuple[int, ...]] = []
     shape: tuple[int, ...] = (input_length, 1)
     for idx, spec in enumerate(specs):

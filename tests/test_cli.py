@@ -11,6 +11,7 @@ from spikesev.checkpoint import save_checkpoint
 from spikesev.cli import build_parser, main
 from spikesev.config import RunConfig
 from spikesev.ingest import Severity, SpikeRecord, read_cohort, write_cohort
+from spikesev.layers import DenseSpec, LSTMSpec
 from spikesev.network import Architecture, Network, param_count
 from spikesev.scales import default_registry
 
@@ -276,6 +277,18 @@ class TestExitCodes:
                      "--workdir", str(tmp_path / "w")])
         assert code == 2
         assert f"error: {path}: tensor name is not UTF-8" in capsys.readouterr().err
+
+    def test_checkpoint_with_input_length_below_one_is_input_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "m.ckpt"
+        net = Network(20, [LSTMSpec(4), DenseSpec(1, "sigmoid")], seed=3)
+        save_checkpoint(net, path, default_registry().content_hash)
+        blob = path.read_bytes()
+        assert blob.count(b'"input_length":20,') == 1
+        path.write_bytes(blob.replace(b'"input_length":20,', b'"input_length":-5,'))
+        code = main(["evaluate", "--checkpoint", str(path), "--matrix", str(tmp_path / "x.mat"),
+                     "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert f"error: {path}: input length -5 < 1" in capsys.readouterr().err
 
     def test_malformed_codebook_is_input_error_with_line(self, tmp_path, fixture_files, capsys):
         fasta, meta, _ = fixture_files

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import spikesev.layers as layers_module
 from spikesev.layers import (
     Conv1DSpec,
     DenseSpec,
@@ -286,9 +287,10 @@ def test_stable_sigmoid_extremes():
 # and backward, as the pool, LSTM and dense kernels as they were before their
 # caches were cut to what backward reads; as the conv kernels as whole-batch
 # shifted matmuls (`_batch_conv1d_*`), before they took one sample at a time;
-# and as the masked sigmoid. The conv kernels as they were before they became
-# k shifted matmuls (`_ref_conv1d_*`) sum in another order, so they agree to
-# rounding.
+# with one input channel, as broadcast multiplies (`_broadcast_conv1d_forward`),
+# before they took blocks of rows; and as the masked sigmoid. The conv kernels
+# as they were before they became k shifted matmuls (`_ref_conv1d_*`) sum in
+# another order, so they agree to rounding.
 
 def _ref_sigmoid(x):
     out = np.empty_like(x)
@@ -320,6 +322,16 @@ def _batch_conv1d_forward(x, w, b):
         y += x[:, j : j + steps] @ w[j]
     y += b
     return y, x
+
+
+def _broadcast_conv1d_forward(x, w, b):
+    """One-channel forward as one broadcast multiply per tap over the batch."""
+    steps = x.shape[1] - w.shape[0] + 1
+    y = x[:, :steps] * w[0]
+    for j in range(1, w.shape[0]):
+        y += x[:, j : j + steps] * w[j]
+    y += b
+    return y
 
 
 def _batch_conv1d_backward(dy, x, w):
@@ -486,6 +498,32 @@ class TestAgainstReferenceKernels:
             _assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kernel", [1, 4])
+    @pytest.mark.parametrize("bias", ["zero", "negative-zero", "normal"])
+    @pytest.mark.parametrize(
+        "block_rows", [5, 23, 40], ids=["several-blocks-last-partial", "one-full-block", "longer-than-output"]
+    )
+    def test_one_channel_conv1d_blocks_keep_the_bytes(self, monkeypatch, dtype, batch, kernel, bias, block_rows):
+        steps = 23
+        length = steps + kernel - 1
+        monkeypatch.setattr(layers_module, "CONV_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows * kernel + batch)
+        x = rng.normal(size=(batch, length, 1)).astype(dtype)
+        x[:, 2 * length // 3 :] = 0.0  # a zero tail, like the feature vectors' padding
+        x[:, 1], x[:, 4], x[:, 9], x[:, 12] = -0.0, np.inf, -np.inf, np.nan
+        w = rng.normal(size=(kernel, 1, 6)).astype(dtype)
+        w[:, 0, 0] = -np.abs(w[:, 0, 0])  # every tap of the zero tail gives filter 0 a -0.0
+        b = {"zero": 0.0, "negative-zero": -0.0, "normal": rng.normal(size=6)}[bias]
+        b = np.broadcast_to(b, 6).astype(dtype)
+        y, _ = conv1d_forward(x, w, b)
+        assert y.dtype == dtype and y.tobytes() == _broadcast_conv1d_forward(x, w, b).tobytes()
+        assert np.isnan(y).any() and np.isinf(y).any()
+        assert np.signbit(y[y == 0]).any() == (bias == "negative-zero")
+        if bias != "negative-zero":  # the K = 1 GEMM writes +0.0 for 0 times a negative weight
+            assert y.tobytes() == _batch_conv1d_forward(x, w, b)[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_sigmoid(self, dtype):
         special = [-0.0, 0.0, 800.0, -800.0, 1e4, -1e4, np.nan, -np.nan, np.inf, -np.inf]
         x = np.concatenate([special, np.random.default_rng(7).normal(scale=30.0, size=1000)])
@@ -592,6 +630,16 @@ def test_conv_forward_holds_the_output_and_one_sample_product(channels):
     b = rng.normal(size=16).astype(np.float32)
     (y, _), peak = _traced_peak(conv1d_forward, x, w, b)
     assert peak <= 1.15 * y.nbytes, (peak, y.nbytes)
+
+
+@pytest.mark.parametrize("length", [3000, 30000])
+def test_one_channel_conv_scratch_depends_on_the_block_not_the_length(length):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2, length, 1)).astype(np.float32)
+    w = rng.normal(size=(4, 1, 128)).astype(np.float32)
+    b = rng.normal(size=128).astype(np.float32)
+    (y, _), peak = _traced_peak(conv1d_forward, x, w, b)
+    assert peak - y.nbytes <= 1 << 20, (peak, y.nbytes)
 
 
 def test_conv_backward_holds_dx_dw_and_one_sample_product():

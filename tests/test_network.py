@@ -76,6 +76,11 @@ class TestArchitectureAccounting:
         with pytest.raises(ShapeError, match="layer 0"):
             infer_shapes([Conv1DSpec(2, 4)], 3)
 
+    @pytest.mark.parametrize("input_length", [0, -5])
+    def test_input_length_below_one_is_shape_error(self, input_length):
+        with pytest.raises(ShapeError, match=f"input length {input_length} < 1"):
+            infer_shapes([LSTMSpec(4), DenseSpec(1, "sigmoid")], input_length)
+
     def test_dense_before_lstm_is_shape_error(self):
         with pytest.raises(ShapeError, match="dense"):
             infer_shapes([Conv1DSpec(2, 4), DenseSpec(3)], 32)
@@ -469,6 +474,45 @@ class TestCheckpointLoaderRefuses:
         with pytest.raises(CheckpointError, match="dense layer"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda layers: layers[1].update(type="conv2d"), "unknown layer type 'conv2d'"),
+            (
+                lambda layers: layers[1].pop("units"),
+                "dense layer has fields ['activation'], expected ['activation', 'units']",
+            ),
+            (lambda layers: layers[1].update(units="4"), "dense layer field 'units' is not a int"),
+            (lambda layers: layers[1].update(units=0), "dense layer: dense units must be >= 1"),
+        ],
+        ids=["unknown-type", "field-set", "field-type", "invalid-value"],
+    )
+    def test_layer_entry_refusal_names_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "m.ckpt"
+        _twin_dense_checkpoint(path)
+        _rewrite_layers(path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "specs, input_length, message",
+        [
+            ([LSTMSpec(4), DenseSpec(1, "sigmoid")], -5, "input length -5 < 1"),
+            ([LSTMSpec(4), DenseSpec(1, "sigmoid")], 0, "input length 0 < 1"),
+            (
+                [Conv1DSpec(2, 4), LSTMSpec(3), DenseSpec(1, "sigmoid")],
+                3,
+                "layer 0 (Conv1DSpec): output length 0 < 1",
+            ),
+        ],
+        ids=["lstm-first-negative", "lstm-first-zero", "conv-first-too-short"],
+    )
+    def test_input_length_the_stack_cannot_take(self, tmp_path, specs, input_length, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Network(20, specs, seed=2), path, "a" * 64)
+        _rewrite_architecture(path, _json_with(input_length=input_length))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "rewrite",
