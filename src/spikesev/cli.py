@@ -46,6 +46,8 @@ def _detect_delimiter(cfg: RunConfig, path: str, text: str) -> str:
         return "\t"
     if cfg.delimiter == "comma":
         return ","
+    if cfg.delimiter != "auto":
+        raise ValueError(f"bad value for delimiter: {cfg.delimiter!r} (expected auto, tab or comma)")
     suffix = Path(path).suffix.casefold()
     if suffix in (".tsv", ".tab"):
         return "\t"
@@ -55,10 +57,6 @@ def _detect_delimiter(cfg: RunConfig, path: str, text: str) -> str:
     return "\t" if "\t" in first else ","
 
 
-def _block_weights(cfg: RunConfig) -> dataset.BlockWeights:
-    return dataset.BlockWeights(cfg.block_weight_sequence, cfg.block_weight_covariates)
-
-
 def _train_config(cfg: RunConfig) -> training.TrainConfig:
     return training.TrainConfig(
         epochs=cfg.epochs,
@@ -66,7 +64,6 @@ def _train_config(cfg: RunConfig) -> training.TrainConfig:
         learning_rate=cfg.learning_rate,
         lambda_l2=cfg.lambda_l2,
         seed=cfg.train_seed,
-        shuffle=cfg.shuffle,
     )
 
 
@@ -120,8 +117,8 @@ def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
     records = ingest.read_cohort(cohort_path)
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to featurize")
-    codebook = dataset.fit_codebook(records, age_binning=cfg.age_binning)
-    m, truncated = dataset.featurize(records, registry, codebook, cfg.n_model, _block_weights(cfg))
+    codebook = dataset.fit_codebook(records)
+    m, truncated = dataset.featurize(records, registry, codebook, cfg.n_model)
     _warn_truncated(truncated)
     dataset.write_matrix(m, wd / "features.mat")
     (wd / "codebook.tsv").write_text(codebook.to_text(registry.content_hash), encoding="utf-8")
@@ -206,9 +203,7 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort
     records = ingest.read_cohort(cohort_path)
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to predict")
-    m, truncated = dataset.featurize(
-        records, registry, codebook, net.input_length, _block_weights(cfg)
-    )
+    m, truncated = dataset.featurize(records, registry, codebook, net.input_length)
     _warn_truncated(truncated)
     scores = net.predict_scores(m.x)
     lines = ["accession\tscore\tpredicted_label\tpredicted_class"]

@@ -19,15 +19,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(text: str) -> bool:
-    value = text.strip().casefold()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -44,9 +35,6 @@ class RunConfig:
     delimiter: str = "auto"  # auto | tab | comma
     # featurization
     n_model: int = DEFAULT_N_MODEL
-    block_weight_sequence: float = 1.0
-    block_weight_covariates: float = 1.0
-    age_binning: str = "exact"  # exact | decade
     # split
     ratio: float = 0.8
     split_seed: int = 0
@@ -59,7 +47,6 @@ class RunConfig:
     learning_rate: float = TrainConfig.learning_rate
     lambda_l2: float = TrainConfig.lambda_l2
     train_seed: int = TrainConfig.seed
-    shuffle: bool = TrainConfig.shuffle
     # architecture; stock values from Architecture
     conv_filters: tuple[int, ...] = Architecture.conv_filters
     kernel_size: int = Architecture.kernel_size
@@ -81,9 +68,7 @@ class RunConfig:
                 raise ConfigError(f"unknown configuration key: {key}")
             current = getattr(self, key)
             try:
-                if isinstance(current, bool):
-                    value = _parse_bool(raw)
-                elif isinstance(current, int):
+                if isinstance(current, int):
                     value = int(raw)
                 elif isinstance(current, float):
                     value = float(raw)
@@ -91,8 +76,6 @@ class RunConfig:
                     value = _parse_int_list(raw)
                 else:
                     value = raw
-            except ConfigError:
-                raise
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
             setattr(self, key, value)
@@ -103,8 +86,6 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
             items[f.name] = str(value)
         items.update(extra or {})
         return "\n".join(f"{k} = {items[k]}" for k in sorted(items)) + "\n"

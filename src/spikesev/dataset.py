@@ -23,7 +23,6 @@ DEFAULT_N_MODEL = 16730
 
 # Fixed field order of the one-hot covariate blocks.
 COVARIATE_FIELDS = ("gender", "age", "clade", "lineage")
-AGE_BINNINGS = ("exact", "decade")
 
 MATRIX_MAGIC = b"SSEVMAT1"
 
@@ -41,12 +40,11 @@ class CovariateCodebook:
     """Per-field category vocabularies, fixed after fitting.
 
     Categories are stored as strings in lexicographic order; ages are their
-    decimal representations (or decade bins like "50s" in decade mode).
-    Values unseen at fit time encode to an all-zero block.
+    decimal representations. Values unseen at fit time encode to an
+    all-zero block.
     """
 
     categories: dict[str, tuple[str, ...]]
-    age_binning: str = "exact"  # "exact" or "decade"
 
     @property
     def width(self) -> int:
@@ -56,20 +54,21 @@ class CovariateCodebook:
         lines = ["# covariate codebook v1"]
         if registry_hash:
             lines.append(f"# registry_hash {registry_hash}")
-        lines.append(f"# age_binning {self.age_binning}")
+        lines.append("# age_binning exact")
         for fieldname in COVARIATE_FIELDS:
             lines.extend(f"{fieldname}\t{value}" for value in self.categories[fieldname])
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "CovariateCodebook":
-        """Parse `to_text` output; a malformed line raises CodebookFormatError."""
-        age_binning = "exact"
+        """Parse `to_text` output; a malformed line, or an age binning other
+        than `exact` (one category per integer age), raises
+        CodebookFormatError."""
         cats: dict[str, list[str]] = {f: [] for f in COVARIATE_FIELDS}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if line.startswith("# age_binning"):
                 age_binning = line[len("# age_binning"):].strip()
-                if age_binning not in AGE_BINNINGS:
+                if age_binning != "exact":
                     raise CodebookFormatError(f"line {lineno}: unknown age binning {age_binning!r}")
                 continue
             if not line.strip() or line.startswith("#"):
@@ -82,30 +81,19 @@ class CovariateCodebook:
             if value in cats[fieldname]:
                 raise CodebookFormatError(f"line {lineno}: duplicate {fieldname} value {value!r}")
             cats[fieldname].append(value)
-        return cls(categories={f: tuple(v) for f, v in cats.items()}, age_binning=age_binning)
+        return cls(categories={f: tuple(v) for f, v in cats.items()})
 
 
-def _age_category(age: int, binning: str) -> str:
-    if binning == "decade":
-        return f"{(age // 10) * 10}s"
-    return str(age)
-
-
-def fit_codebook(records: list[SpikeRecord], age_binning: str = "exact") -> CovariateCodebook:
+def fit_codebook(records: list[SpikeRecord]) -> CovariateCodebook:
     if not records:
         raise ValueError("cannot fit a codebook on an empty record list")
-    if age_binning not in AGE_BINNINGS:
-        raise ValueError(f"unknown age binning mode: {age_binning}")
     values: dict[str, set[str]] = {f: set() for f in COVARIATE_FIELDS}
     for rec in records:
         values["gender"].add(rec.gender)
-        values["age"].add(_age_category(rec.age, age_binning))
+        values["age"].add(str(rec.age))
         values["clade"].add(rec.clade)
         values["lineage"].add(rec.lineage)
-    return CovariateCodebook(
-        categories={f: tuple(sorted(v)) for f, v in values.items()},
-        age_binning=age_binning,
-    )
+    return CovariateCodebook(categories={f: tuple(sorted(v)) for f, v in values.items()})
 
 
 def encode_covariates(record: SpikeRecord, codebook: CovariateCodebook) -> np.ndarray:
@@ -114,22 +102,13 @@ def encode_covariates(record: SpikeRecord, codebook: CovariateCodebook) -> np.nd
     offset = 0
     for fieldname in COVARIATE_FIELDS:
         cats = codebook.categories[fieldname]
-        if fieldname == "age":
-            value = _age_category(record.age, codebook.age_binning)
-        else:
-            value = getattr(record, fieldname)
+        value = str(getattr(record, fieldname))
         try:
             out[offset + cats.index(value)] = 1.0
         except ValueError:
             pass
         offset += len(cats)
     return out
-
-
-@dataclass(frozen=True)
-class BlockWeights:
-    sequence: float = 1.0
-    covariates: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,16 +152,13 @@ def featurize(
     registry: ScalesRegistry,
     codebook: CovariateCodebook,
     n_model: int = DEFAULT_N_MODEL,
-    block_weights: BlockWeights = BlockWeights(),
 ) -> tuple[FeatureMatrix, int]:
     """One row per record, [global | residue rows (row-major) | covariates |
     zero padding], written into one preallocated float32 matrix; and the
     number of records whose residue block was truncated.
 
-    Sequence-derived blocks are scaled by block_weights.sequence and the
-    covariate block by block_weights.covariates, in float64, and rounded to
-    float32 on store. A residue block that does not fit is truncated at the
-    tail.
+    Each block is computed in float64 and rounded to float32 on store. A
+    residue block that does not fit is truncated at the tail.
     """
     width = codebook.width
     if n_model < GLOBAL_DESCRIPTOR_LENGTH + width:
@@ -195,9 +171,8 @@ def featurize(
         seq = sequence_features(record.sequence, registry)
         truncated += seq.size > n_model - width
         seq = seq[: n_model - width]
-        row[: seq.size] = seq * block_weights.sequence
-        cov = encode_covariates(record, codebook)
-        row[seq.size : seq.size + width] = cov * block_weights.covariates
+        row[: seq.size] = seq
+        row[seq.size : seq.size + width] = encode_covariates(record, codebook)
     labels = [LABEL_OF[r.label] for r in records]
     return FeatureMatrix(x, labels, [r.accession_id for r in records]), truncated
 
@@ -207,10 +182,9 @@ def assemble(
     registry: ScalesRegistry,
     codebook: CovariateCodebook,
     n_model: int = DEFAULT_N_MODEL,
-    block_weights: BlockWeights = BlockWeights(),
 ) -> FeatureMatrix:
     """The one-row matrix `featurize` builds for `record`."""
-    return featurize([record], registry, codebook, n_model, block_weights)[0]
+    return featurize([record], registry, codebook, n_model)[0]
 
 
 @dataclass(frozen=True)

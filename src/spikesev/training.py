@@ -30,15 +30,16 @@ class TrainConfig:
     learning_rate: float = AdamState.learning_rate
     lambda_l2: float = 0.001
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lambda_l2 < 0:
-            raise ValueError("lambda_l2 must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive finite number, got {self.learning_rate}")
+        if not self.lambda_l2 >= 0:  # NaN fails this comparison too
+            raise ValueError(f"lambda_l2 must be >= 0, got {self.lambda_l2}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def train(
     optimizer = AdamState.for_network(network, learning_rate=config.learning_rate)
     logs: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
-        order = rng_shuffle.permutation(n) if config.shuffle else np.arange(n)
+        order = rng_shuffle.permutation(n)
         loss_sum = 0.0
         correct = 0
         for start in range(0, n, config.batch_size):
@@ -256,7 +257,8 @@ def default_search_space() -> SearchSpace:
 
 def parse_search_space(text: str) -> SearchSpace:
     """One domain per line: `name\tchoice\tv1\tv2...` or
-    `name\t{linear|log|int}\tlow\thigh`."""
+    `name\t{linear|log|int}\tlow\thigh`. A malformed line, or a name
+    given twice, raises a ValueError naming the line."""
 
     def coerce(token: str):
         try:
@@ -272,20 +274,27 @@ def parse_search_space(text: str) -> SearchSpace:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) < 3:
-            raise ValueError(f"search space line {lineno}: expected name, kind, arguments")
-        name, kind, *args = parts
-        if kind == "choice":
-            space[name] = Choice(tuple(coerce(a) for a in args))
-        elif kind in ("linear", "log"):
-            space[name] = Range(float(args[0]), float(args[1]), scale=kind)
-        elif kind == "int":
-            space[name] = Range(float(args[0]), float(args[1]), integer=True)
-        else:
-            raise ValueError(f"search space line {lineno}: unknown domain kind {kind!r}")
-        if name != "learning_rate":
-            _architecture_target(name)
+        try:
+            parts = line.split("\t")
+            if len(parts) < 3:
+                raise ValueError("expected name, kind, arguments")
+            name, kind, *args = parts
+            if name in space:
+                raise ValueError(f"repeated name {name!r}")
+            if kind == "choice":
+                space[name] = Choice(tuple(coerce(a) for a in args))
+            elif kind not in ("linear", "log", "int"):
+                raise ValueError(f"unknown domain kind {kind!r}")
+            elif len(args) != 2:
+                raise ValueError(f"{kind} range needs 2 bounds, got {len(args)}")
+            elif kind == "int":
+                space[name] = Range(float(args[0]), float(args[1]), integer=True)
+            else:
+                space[name] = Range(float(args[0]), float(args[1]), scale=kind)
+            if name != "learning_rate":
+                _architecture_target(name)
+        except ValueError as exc:
+            raise ValueError(f"search space line {lineno}: {exc}") from None
     if not space:
         raise ValueError("empty search space")
     return space

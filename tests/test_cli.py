@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import hashlib
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -339,11 +341,69 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("threshold must lie in [0, 1]") == 2
         assert not (wd / "report.tsv").exists() and not (wd / "predictions.tsv").exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key",
+        ["not_a_key", "shuffle", "block_weight_sequence", "block_weight_covariates", "age_binning"],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, key, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("not_a_key = 1\n")
+        bad.write_text(f"{key} = 1\n")
         assert main(["gradcheck", "--config", str(bad)]) == 2
-        assert "unknown configuration key" in capsys.readouterr().err
+        assert f"unknown configuration key: {key}" in capsys.readouterr().err
+
+    def test_config_delimiter_outside_its_choices_is_input_error(self, tmp_path, fixture_files,
+                                                                 capsys):
+        fasta, meta, _ = fixture_files
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("delimiter = semicolon\n")
+        code = main(["ingest", "--config", str(bad), "--fasta", str(fasta), "--metadata", str(meta),
+                     "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert "bad value for delimiter: 'semicolon'" in capsys.readouterr().err
+        assert not (tmp_path / "w" / "cohort.tsv").exists()
+
+    def test_decade_codebook_is_input_error_with_line(self, tmp_path, fixture_files, capsys):
+        fasta, meta, cfg = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+              "--workdir", str(wd)])
+        codebook = wd / "codebook.tsv"
+        text = codebook.read_text()
+        assert text.splitlines()[2] == "# age_binning exact"
+        codebook.write_text(text.replace("# age_binning exact", "# age_binning decade"))
+        save_checkpoint(Network(600, seed=3), wd / "m.ckpt", default_registry().content_hash)
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(wd / "m.ckpt"), "--codebook", str(codebook),
+                     "--cohort", str(wd / "cohort.tsv"), "--workdir", str(wd)])
+        assert code == 2
+        assert "line 3: unknown age binning 'decade'" in capsys.readouterr().err
+        assert not (wd / "predictions.tsv").exists()
+
+    def test_train_with_zero_learning_rate_writes_no_checkpoint(self, tmp_path, fixture_files,
+                                                                capsys):
+        fasta, meta, cfg = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+              "--workdir", str(wd)])
+        capsys.readouterr()
+        code = main(["train", "--config", str(cfg), "--matrix", str(wd / "features.mat"),
+                     "--learning-rate", "0", "--workdir", str(wd)])
+        assert code == 2
+        assert "learning_rate must be a positive finite number" in capsys.readouterr().err
+        assert not (wd / "model.ckpt").exists()
+
+    def test_search_range_with_one_bound_is_input_error(self, tmp_path, capsys):
+        x, y = separable_blobs(n=20, length=64, seed=1)
+        dataset.write_matrix(dataset.FeatureMatrix(x, y, ["-"] * 20), tmp_path / "x.mat")
+        space = tmp_path / "space.tsv"
+        space.write_text("learning_rate\tlinear\t0.1\n")
+        code = main(["search", "--matrix", str(tmp_path / "x.mat"), "--space", str(space),
+                     "--trials", "1", "--k", "2", "--epochs", "1", "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert "search space line 1: linear range needs 2 bounds, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "w" / "trials.tsv").exists()
 
 
 class TestGradcheckCommand:
@@ -510,6 +570,20 @@ def test_config_flags_reach_the_resolved_config(tmp_path, fixture_files, capsys)
             value = action.type(raw) if action.type else raw
             assert resolved[action.dest] == str(value), (command, given[0])
     capsys.readouterr()
+
+
+def test_readme_configuration_table_lists_every_config_key():
+    """The backticked keys in the first column of README's Configuration
+    table are exactly `RunConfig`'s fields."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = [
+        key
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+    ]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 def test_commands_write_only_into_workdir(tmp_path, fixture_files, monkeypatch, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import cohort_fixture_texts, random_sequence
 from spikesev.dataset import (
-    BlockWeights,
     CodebookFormatError,
     CovariateCodebook,
     FeatureMatrix,
@@ -70,12 +69,6 @@ class TestCodebook:
         widths = {encode_covariates(r, cb).shape[0] for r in records}
         assert widths == {cb.width}
 
-    def test_age_decade_binning_mode(self):
-        records = [_record(age=54), _record("EPI2", age=57), _record("EPI3", age=31)]
-        cb = fit_codebook(records, age_binning="decade")
-        assert cb.categories["age"] == ("30s", "50s")
-        assert encode_covariates(_record("EPI4", age=59), cb).sum() == 4.0
-
     def test_codebook_text_round_trip(self):
         cb = fit_codebook(_cohort())
         restored = CovariateCodebook.from_text(cb.to_text(registry_hash="ab12"))
@@ -87,6 +80,7 @@ class TestCodebook:
             ("colour\tred", "unknown covariate field 'colour'"),
             ("gender male", "no tab after the field"),
             ("# age_binning weekly", "unknown age binning 'weekly'"),
+            ("# age_binning decade", "unknown age binning 'decade'"),
             ("gender\tfemale", "duplicate gender value 'female'"),
         ],
     )
@@ -123,22 +117,6 @@ class TestAssemble:
         cb = fit_codebook(records)
         assert assemble(records[1], REG, cb, 200).y.tolist() == [0]
 
-    def test_identity_block_weights(self):
-        records = [_record()]
-        cb = fit_codebook(records)
-        a = assemble(records[0], REG, cb, 150, BlockWeights(1.0, 1.0))
-        b = assemble(records[0], REG, cb, 150)
-        np.testing.assert_array_equal(a.x, b.x)
-
-    def test_doubling_sequence_weight_scales_sequence_blocks_only(self):
-        records = [_record()]
-        cb = fit_codebook(records)
-        base = assemble(records[0], REG, cb, 150).x[0]
-        doubled = assemble(records[0], REG, cb, 150, BlockWeights(sequence=2.0)).x[0]
-        seq_end = GLOBAL_DESCRIPTOR_LENGTH + 10 * len(records[0].sequence)
-        np.testing.assert_allclose(doubled[:seq_end], 2.0 * base[:seq_end], rtol=1e-6)
-        np.testing.assert_array_equal(doubled[seq_end:], base[seq_end:])
-
     def test_truncation_flagged_and_tail_dropped(self):
         records = [_record(sequence=random_sequence(np.random.default_rng(0), 40))]
         cb = fit_codebook(records)
@@ -168,10 +146,9 @@ class TestAssemble:
             for i, (length, label) in enumerate([(5, "mild"), (12, "severe"), (3, "severe")])
         ]
         cb = fit_codebook(records)
-        weights = BlockWeights(sequence=0.5, covariates=3.0)
         n_model = GLOBAL_DESCRIPTOR_LENGTH + 60 + cb.width  # truncates the 12-residue record
-        m, truncated = featurize(records, REG, cb, n_model, weights)
-        rows = [assemble(r, REG, cb, n_model, weights) for r in records]
+        m, truncated = featurize(records, REG, cb, n_model)
+        rows = [assemble(r, REG, cb, n_model) for r in records]
         assert m.x.tobytes() == np.concatenate([r.x for r in rows]).tobytes()
         assert m.y.tolist() == [1, 0, 0] and m.ids == ("EPI0", "EPI1", "EPI2")
         assert truncated == 1

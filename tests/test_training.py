@@ -44,6 +44,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="batch"):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_not_positive_finite_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
+            TrainConfig(learning_rate=rate)
+
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda_l2 must be >= 0, got nan"):
+            TrainConfig(lambda_l2=float("nan"))
+
 
 class TestTrain:
     def test_same_seed_identical_epoch_logs(self):
@@ -76,7 +85,7 @@ class TestTrain:
         with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match="non-finite loss at epoch 1"
         ):
-            train(net, x, y, TrainConfig(epochs=1, batch_size=10, shuffle=False))
+            train(net, x, y, TrainConfig(epochs=1, batch_size=10))
 
     def test_validation_metrics_logged(self):
         x, y = separable_blobs(n=30, length=40, seed=2)
@@ -249,6 +258,14 @@ class TestRandomSearch:
         assert lines[0].startswith("rank\ttrial\tstatus\tmean_f1")
         assert len(lines) == 3
 
+    def test_non_positive_sampled_learning_rate_fails_the_trial(self):
+        m = _blob_matrix(n=30, length=40)
+        space = {"learning_rate": Range(-1e-3, 0.0)}
+        base = Architecture(conv_filters=(4,), kernel_size=3, lstm_units=5, dense_units=(6,))
+        trials = random_search(space, 2, m, TrainConfig(epochs=1), base, cv_k=2, smote_k=2)
+        assert [t.status for t in trials] == ["failed", "failed"]
+        assert all("learning_rate must be a positive finite number" in t.error for t in trials)
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
             random_search(SMALL_SPACE, 0, _blob_matrix(), TrainConfig(epochs=1), Architecture())
@@ -279,6 +296,26 @@ class TestSearchSpaceParsing:
             parse_search_space(f"learning_rate\tlog\t{low}\t0.01\n")
         with pytest.raises(ValueError, match="low > 0"):
             Range(float(low), 0.01, scale="log")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("learning_rate\tlinear\t0.1", "linear range needs 2 bounds, got 1"),
+            ("learning_rate\tlog\t1e-4\t1e-3\t1e-2", "log range needs 2 bounds, got 3"),
+            ("lstm_units\tint\t16", "int range needs 2 bounds, got 1"),
+            ("learning_rate\tlinear\t0.1\tfast", "could not convert string to float: 'fast'"),
+            ("lstm_units\tint\t96\t16", "range high < low"),
+        ],
+        ids=["one-bound", "three-bounds", "int-one-bound", "not-a-number", "high-below-low"],
+    )
+    def test_malformed_range_refused_with_its_line(self, line, message):
+        with pytest.raises(ValueError, match=f"search space line 2: {message}"):
+            parse_search_space(f"# comment\n{line}\n")
+
+    def test_repeated_name_refused_with_its_line(self):
+        text = "lstm_units\tchoice\t16\t32\nkernel_size\tchoice\t3\nlstm_units\tint\t8\t64\n"
+        with pytest.raises(ValueError, match="search space line 3: repeated name 'lstm_units'"):
+            parse_search_space(text)
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError, match="empty"):
