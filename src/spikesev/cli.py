@@ -118,15 +118,14 @@ def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
     if not records:
         raise ValueError(f"{cohort_path}: cohort is empty, nothing to featurize")
     codebook = dataset.fit_codebook(records)
-    m, truncated = dataset.featurize(records, registry, codebook, cfg.n_model)
+    truncated = dataset.write_features(records, registry, codebook, cfg.n_model, wd / "features.mat")
     _warn_truncated(truncated)
-    dataset.write_matrix(m, wd / "features.mat")
     (wd / "codebook.tsv").write_text(codebook.to_text(registry.content_hash), encoding="utf-8")
     _write_resolved(
         cfg, wd, "featurize",
         {"registry_hash": registry.content_hash, "truncated_records": str(truncated)},
     )
-    print(f"featurized {len(m)} records at width {cfg.n_model}")
+    print(f"featurized {len(records)} records at width {cfg.n_model}")
     return EXIT_OK
 
 
@@ -134,8 +133,8 @@ def cmd_split(cfg: RunConfig, matrix_path: str) -> int:
     wd = _workdir(cfg)
     m = dataset.read_matrix(matrix_path)
     train_idx, test_idx = dataset.split_indices(m.y, cfg.ratio, cfg.split_seed)
-    for name, idx in (("train", train_idx), ("test", test_idx)):  # one part alive at a time
-        dataset.write_matrix(m.take(idx), wd / f"{name}.mat")
+    for name, idx in (("train", train_idx), ("test", test_idx)):
+        dataset.write_rows(m, idx, wd / f"{name}.mat")
     _write_resolved(cfg, wd, "split")
     print(f"split {len(m)} rows into {len(train_idx)} train / {len(test_idx)} test")
     return EXIT_OK

@@ -1,12 +1,15 @@
 """Flat key-value run configuration.
 
-A config file holds `key = value` lines ('#' starts a comment). Command-line
-flags override file values; every run writes its fully resolved configuration
-next to its outputs.
+A config file holds `key = value` lines, each key at most once. A `#` at the
+start of a line or after whitespace starts a comment; any other `#` is part
+of the value, so `registry = /data/run#2/scales.tsv` keeps its path.
+Command-line flags override file values; every run writes its fully resolved
+configuration next to its outputs.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -17,6 +20,10 @@ from .training import TrainConfig
 
 class ConfigError(ValueError):
     pass
+
+
+# A '#' that starts the line or follows whitespace.
+_COMMENT = re.compile(r"(?<!\S)#")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -93,14 +100,17 @@ class RunConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in linenos:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {linenos[key]}")
+        values[key], linenos[key] = value, lineno
     return values
 
 

@@ -7,7 +7,9 @@ Labels are binary: mild = 1 (the positive class), severe = 0.
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .ingest import Severity, SpikeRecord
 from .scales import ScalesRegistry
-from .seqfeatures import GLOBAL_DESCRIPTOR_LENGTH, sequence_features
+from .seqfeatures import GLOBAL_DESCRIPTOR_LENGTH, write_sequence_features
 
 LABEL_OF = {Severity.MILD: 1, Severity.SEVERE: 0}
 
@@ -25,6 +27,10 @@ DEFAULT_N_MODEL = 16730
 COVARIATE_FIELDS = ("gender", "age", "clade", "lineage")
 
 MATRIX_MAGIC = b"SSEVMAT1"
+
+# Bytes of the one reused row block through which `write_features` and
+# `write_rows` stream a matrix to disk.
+MATRIX_BLOCK_BYTES = 16 << 20
 
 
 class MatrixFormatError(ValueError):
@@ -147,6 +153,42 @@ class FeatureMatrix:
         return FeatureMatrix(self.x[idx], self.y[idx], tuple(self.ids[i] for i in idx))
 
 
+def _covariate_offsets(codebook: CovariateCodebook) -> list[tuple[str, dict[str, int]]]:
+    """Each field with the offset of each of its categories in the
+    covariate block, in `encode_covariates`' layout."""
+    offsets, start = [], 0
+    for fieldname in COVARIATE_FIELDS:
+        cats = codebook.categories[fieldname]
+        offsets.append((fieldname, {value: start + i for i, value in enumerate(cats)}))
+        start += len(cats)
+    return offsets
+
+
+def _fill_rows(
+    x: np.ndarray, records: Sequence[SpikeRecord], registry: ScalesRegistry, codebook: CovariateCodebook
+) -> int:
+    """Write the `featurize` row of each record into the float32 rows of `x`,
+    every slot of them; return the number of truncated residue blocks."""
+    n_model, width = x.shape[1], codebook.width
+    head = n_model - width
+    if head < GLOBAL_DESCRIPTOR_LENGTH:
+        raise ValueError(
+            f"model length too small: need at least {GLOBAL_DESCRIPTOR_LENGTH + width}, got {n_model}"
+        )
+    offsets = _covariate_offsets(codebook)
+    truncated = 0
+    for row, record in zip(x, records):
+        size = write_sequence_features(row[:head], record.sequence, registry)
+        truncated += size > head
+        start = min(size, head)
+        row[start:] = 0.0
+        for fieldname, index in offsets:
+            offset = index.get(str(getattr(record, fieldname)))
+            if offset is not None:
+                row[start + offset] = 1.0
+    return truncated
+
+
 def featurize(
     records: list[SpikeRecord],
     registry: ScalesRegistry,
@@ -154,27 +196,50 @@ def featurize(
     n_model: int = DEFAULT_N_MODEL,
 ) -> tuple[FeatureMatrix, int]:
     """One row per record, [global | residue rows (row-major) | covariates |
-    zero padding], written into one preallocated float32 matrix; and the
-    number of records whose residue block was truncated.
+    zero padding], written into one float32 matrix; and the number of records
+    whose residue block was truncated.
 
-    Each block is computed in float64 and rounded to float32 on store. A
-    residue block that does not fit is truncated at the tail.
+    Each row is filled in place: the global descriptors are rounded to
+    float32 on store, the residue rows are gathered from the float32
+    weighted residue table, and each covariate is a 1.0 at its codebook
+    offset. A residue block that does not fit is truncated at the tail.
     """
-    width = codebook.width
-    if n_model < GLOBAL_DESCRIPTOR_LENGTH + width:
-        raise ValueError(
-            f"model length too small: need at least {GLOBAL_DESCRIPTOR_LENGTH + width}, got {n_model}"
-        )
-    x = np.zeros((len(records), n_model), dtype=np.float32)
-    truncated = 0
-    for row, record in zip(x, records):
-        seq = sequence_features(record.sequence, registry)
-        truncated += seq.size > n_model - width
-        seq = seq[: n_model - width]
-        row[: seq.size] = seq
-        row[seq.size : seq.size + width] = encode_covariates(record, codebook)
+    x = np.empty((len(records), n_model), dtype=np.float32)
+    truncated = _fill_rows(x, records, registry, codebook)
     labels = [LABEL_OF[r.label] for r in records]
     return FeatureMatrix(x, labels, [r.accession_id for r in records]), truncated
+
+
+def _row_blocks(rows: int, cols: int, fill: Callable[[np.ndarray, int], None]) -> Iterator[np.ndarray]:
+    """The `rows` rows of a `cols`-wide matrix as parts of one reused float32
+    block of MATRIX_BLOCK_BYTES (at least one row); `fill(part, start)` writes
+    rows `start`, `start + 1`, ... into each part before it is yielded."""
+    block = np.empty((max(1, min(rows, MATRIX_BLOCK_BYTES // (4 * cols))), cols), dtype=np.float32)
+    for start in range(0, rows, len(block)):
+        part = block[: rows - start]
+        fill(part, start)
+        yield part
+
+
+def write_features(
+    records: list[SpikeRecord],
+    registry: ScalesRegistry,
+    codebook: CovariateCodebook,
+    n_model: int,
+    path: str | Path,
+) -> int:
+    """`write_matrix(featurize(records, registry, codebook, n_model)[0], path)`,
+    with the rows filled one reused block at a time, so the matrix is never
+    held whole; return the number of truncated records."""
+    truncated = []
+
+    def fill(part: np.ndarray, start: int) -> None:
+        truncated.append(_fill_rows(part, records[start : start + len(part)], registry, codebook))
+
+    blocks = _row_blocks(len(records), n_model, fill)
+    labels = [LABEL_OF[r.label] for r in records]
+    write_matrix_blocks(path, n_model, blocks, labels, [r.accession_id for r in records])
+    return sum(truncated)
 
 
 def assemble(
@@ -273,13 +338,49 @@ def write_matrix(m: FeatureMatrix | list[FeatureMatrix], path: str | Path) -> No
         raise ValueError("refusing to write an empty matrix")
     if not isinstance(m, FeatureMatrix):
         m = FeatureMatrix.concatenate(m)
+    write_matrix_blocks(path, m.x.shape[1], [m.x], m.y, m.ids)
+
+
+def write_matrix_blocks(
+    path: str | Path, cols: int, blocks: Iterable[np.ndarray], y: Sequence[int], ids: Sequence[str]
+) -> None:
+    """The `write_matrix` format from blocks of rows: the header, each block
+    of `cols` float32 columns in turn, then the labels `y`; then the `.ids`
+    sidecar. The payload goes to a temporary file next to `path` that
+    replaces `path` only once every block is written, so a failure while
+    the blocks are made leaves `path` as it was and no temporary file."""
+    if not len(y):
+        raise ValueError("refusing to write an empty matrix")
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<II", *m.x.shape))
-        np.ascontiguousarray(m.x, dtype="<f4").tofile(fh)
-        m.y.tofile(fh)
-    path.with_suffix(".ids").write_text("".join(f"{a}\n" for a in m.ids), encoding="utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MATRIX_MAGIC)
+            fh.write(struct.pack("<II", len(y), cols))
+            rows = 0
+            for block in blocks:
+                np.ascontiguousarray(block, dtype="<f4").tofile(fh)
+                rows += len(block)
+            if rows != len(y):
+                raise ValueError(f"{rows} matrix rows for {len(y)} labels")
+            np.asarray(y, dtype=np.uint8).tofile(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    path.with_suffix(".ids").write_text("".join(f"{a}\n" for a in ids), encoding="utf-8")
+
+
+def write_rows(m: FeatureMatrix, idx: np.ndarray, path: str | Path) -> None:
+    """`write_matrix(m.take(idx), path)`, with the rows copied one reused
+    block at a time; every index must lie in [0, len(m))."""
+
+    def fill(part: np.ndarray, start: int) -> None:
+        # "clip" spares take's buffered copy of `out`; no index needs it.
+        np.take(m.x, idx[start : start + len(part)], axis=0, out=part, mode="clip")
+
+    blocks = _row_blocks(len(idx), m.x.shape[1], fill)
+    write_matrix_blocks(path, m.x.shape[1], blocks, m.y[idx], [m.ids[i] for i in idx])
 
 
 def read_matrix(path: str | Path) -> FeatureMatrix:

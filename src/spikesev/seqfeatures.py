@@ -82,14 +82,16 @@ def _net_charge(side_chains: float, registry: ScalesRegistry, ph: float) -> floa
 
 # Keyed by content hash: an entry depends on the registry's values alone, so
 # every registry with the same values shares it.
-_COLUMNS: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+_COLUMNS: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _columns(registry: ScalesRegistry) -> tuple[np.ndarray, np.ndarray]:
+def _columns(registry: ScalesRegistry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-residue columns of `registry`, built once per content hash: the
     (20, 7) descriptor columns [hydrophobicity, side-chain charge at
-    PHYSIOLOGICAL_PH, helix, strand and coil class, polarity, hbond_capable]
-    and the (20, 10) residue_row_table."""
+    PHYSIOLOGICAL_PH, helix, strand and coil class, polarity, hbond_capable],
+    and the (40, 10) weighted residue table in float64 and float32. Rows
+    0-19 of the table are `residue_row_table`, rows 20-39 the same rows times
+    RBD_WEIGHT; `_weighted_rows` indexes it."""
     if registry.content_hash not in _COLUMNS:
         sets = registry.class_sets
         descriptor = np.column_stack([
@@ -99,7 +101,9 @@ def _columns(registry: ScalesRegistry) -> tuple[np.ndarray, np.ndarray]:
             _scale(registry.polarity),
             _members(sets["hbond_capable"]),
         ])
-        _COLUMNS[registry.content_hash] = descriptor, residue_row_table(registry)
+        rows = residue_row_table(registry)
+        table = np.concatenate([rows, rows * RBD_WEIGHT])
+        _COLUMNS[registry.content_hash] = descriptor, table, table.astype(np.float32)
     return _COLUMNS[registry.content_hash]
 
 
@@ -214,8 +218,16 @@ class ResidueEncoding:
     rbd_weights: np.ndarray  # (L,)
 
 
+def _weighted_rows(idx: np.ndarray) -> np.ndarray:
+    """Row of the weighted residue table for each position: the residue
+    index, plus 20 inside [RBD_START, RBD_END]."""
+    rows = idx.copy()
+    rows[RBD_START - 1 : RBD_END] += 20
+    return rows
+
+
 def _residue_rows(idx: np.ndarray, registry: ScalesRegistry) -> np.ndarray:
-    return _columns(registry)[1][idx] * rbd_weights(len(idx))[:, None]
+    return _columns(registry)[1][_weighted_rows(idx)]
 
 
 def residue_encoding(sequence: str, registry: ScalesRegistry) -> ResidueEncoding:
@@ -229,3 +241,24 @@ def sequence_features(sequence: str, registry: ScalesRegistry) -> np.ndarray:
     idx = residue_indices(sequence)
     descriptors = _descriptors(np.bincount(idx, minlength=20), registry)
     return np.concatenate([descriptors.to_vector(), _residue_rows(idx, registry).reshape(-1)])
+
+
+def write_sequence_features(out: np.ndarray, sequence: str, registry: ScalesRegistry) -> int:
+    """Store `sequence_features(sequence, registry)` into the float32 `out`,
+    truncated at its end; return the full head's length. `out` holds at
+    least GLOBAL_DESCRIPTOR_LENGTH values.
+
+    The residue rows are gathered from the float32 table straight into
+    `out`, which gives the same bytes as rounding the float64 rows on store.
+    """
+    idx = residue_indices(sequence)
+    out[:GLOBAL_DESCRIPTOR_LENGTH] = _descriptors(np.bincount(idx, minlength=20), registry).to_vector()
+    rows = _weighted_rows(idx)
+    block = out[GLOBAL_DESCRIPTOR_LENGTH : GLOBAL_DESCRIPTOR_LENGTH + 10 * len(rows)]
+    full, part = divmod(block.size, 10)
+    table = _columns(registry)[2]
+    # Every row index is in range, so "clip" only spares take's buffered `out`.
+    np.take(table, rows[:full], axis=0, out=block[: 10 * full].reshape(full, 10), mode="clip")
+    if part:
+        block[10 * full :] = table[rows[full], :part]
+    return GLOBAL_DESCRIPTOR_LENGTH + 10 * len(rows)

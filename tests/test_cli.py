@@ -11,7 +11,7 @@ from helpers import cohort_fixture_texts, separable_blobs
 from spikesev import dataset
 from spikesev.checkpoint import save_checkpoint
 from spikesev.cli import build_parser, main
-from spikesev.config import RunConfig
+from spikesev.config import RunConfig, load_config
 from spikesev.ingest import Severity, SpikeRecord, read_cohort, write_cohort
 from spikesev.layers import DenseSpec, LSTMSpec
 from spikesev.network import Architecture, Network, param_count
@@ -525,6 +525,95 @@ def test_split_holds_one_part_at_a_time(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _featurize_argv(wd: Path, n_model: int) -> list[str]:
+    return ["featurize", "--cohort", str(wd / "cohort.tsv"), "--workdir", str(wd),
+            "--n-model", str(n_model)]
+
+
+def test_featurize_streams_the_bytes_of_the_whole_matrix(tmp_path, fixture_files, monkeypatch, capsys):
+    """Blocks of 3 rows, the last one partial (40 records), write the bytes
+    `write_matrix(featurize(...))` writes."""
+    fasta, meta, _ = fixture_files
+    wd = tmp_path / "w"
+    main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+    monkeypatch.setattr(dataset, "MATRIX_BLOCK_BYTES", 3 * 4 * 640)
+    assert main(_featurize_argv(wd, 640)) == 0
+    records = read_cohort(wd / "cohort.tsv")
+    m, _ = dataset.featurize(records, default_registry(), dataset.fit_codebook(records), 640)
+    assert len(m) % 3
+    dataset.write_matrix(m, tmp_path / "whole.mat")
+    assert (wd / "features.mat").read_bytes() == (tmp_path / "whole.mat").read_bytes()
+    assert (wd / "features.ids").read_bytes() == (tmp_path / "whole.ids").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_mild, n_severe", [(12, 28), (48, 112)])
+def test_featurize_holds_one_block_whatever_the_cohort_size(tmp_path, monkeypatch, capsys,
+                                                            n_mild, n_severe):
+    """The traced peak stays under two row blocks plus 1 MiB at 3.2 MB and
+    12.8 MB of matrix; the whole matrix is never held."""
+    fasta_text, meta_text = cohort_fixture_texts(n_mild=n_mild, n_severe=n_severe)
+    (tmp_path / "s.fasta").write_text(fasta_text)
+    (tmp_path / "m.tsv").write_text(meta_text)
+    wd = tmp_path / "w"
+    main(["ingest", "--fasta", str(tmp_path / "s.fasta"), "--metadata", str(tmp_path / "m.tsv"),
+          "--workdir", str(wd)])
+    block = 256 << 10
+    monkeypatch.setattr(dataset, "MATRIX_BLOCK_BYTES", block)
+    tracemalloc.start()
+    try:
+        code = main(_featurize_argv(wd, 20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (wd / "features.mat").stat().st_size > 12 * block
+    assert peak < 2 * block + (1 << 20), peak
+    capsys.readouterr()
+
+
+def test_featurize_failure_leaves_the_old_matrix(tmp_path, fixture_files, monkeypatch, capsys):
+    """A non-canonical residue in the last record is an input error after
+    every earlier block was written: the previous features.mat stays as it
+    was and no temporary file is left."""
+    fasta, meta, _ = fixture_files
+    wd = tmp_path / "w"
+    main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+    assert main(_featurize_argv(wd, 640)) == 0
+    before = {p.name: p.read_bytes() for p in wd.iterdir()}
+    records = read_cohort(wd / "cohort.tsv")
+    last = records[-1]
+    records[-1] = SpikeRecord(last.accession_id, last.sequence[:-1] + "X", last.age, last.gender,
+                              last.clade, last.lineage, last.label)
+    write_cohort(records, wd / "cohort.tsv")
+    before["cohort.tsv"] = (wd / "cohort.tsv").read_bytes()
+    monkeypatch.setattr(dataset, "MATRIX_BLOCK_BYTES", 3 * 4 * 640)
+    capsys.readouterr()
+    assert main(_featurize_argv(wd, 640)) == 2
+    assert "non-canonical residues" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in wd.iterdir()} == before
+
+
+def test_split_writes_its_parts_in_row_blocks(tmp_path, monkeypatch, capsys):
+    """The read matrix plus one reused block of rows: the traced peak stays
+    within 1.15x the read matrix."""
+    x, y = separable_blobs(n=400, length=2000)
+    dataset.write_matrix(dataset.FeatureMatrix(x, y, [f"r{i}" for i in range(len(y))]),
+                         tmp_path / "features.mat")
+    matrix_bytes = dataset.read_matrix(tmp_path / "features.mat").x.nbytes
+    monkeypatch.setattr(dataset, "MATRIX_BLOCK_BYTES", 64 << 10)
+    tracemalloc.start()
+    try:
+        code = main(["split", "--matrix", str(tmp_path / "features.mat"),
+                     "--workdir", str(tmp_path / "w"), "--ratio", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.15 * matrix_bytes, (peak, matrix_bytes)
+    capsys.readouterr()
+
+
 def test_config_flags_reach_the_resolved_config(tmp_path, fixture_files, capsys):
     """Every flag whose dest is a `RunConfig` field shows up, with its value,
     in the `<command>.resolved.cfg` the command writes."""
@@ -596,3 +685,33 @@ def test_commands_write_only_into_workdir(tmp_path, fixture_files, monkeypatch, 
                  "--workdir", str(wd)]) == 0
     assert list(scratch.iterdir()) == []
     capsys.readouterr()
+
+
+class TestConfigFile:
+    def test_repeated_key_refused_with_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\n# comment\nepochs = 7\n")
+        assert main(["gradcheck", "--config", str(cfg)]) == 2
+        assert f"{cfg}:3: epochs is already set on line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, value", [
+        ("registry = /data/run#2/scales.tsv", "/data/run#2/scales.tsv"),
+        ("registry = /data/scales.tsv # note", "/data/scales.tsv"),
+        ("registry = /data/scales.tsv\t# note", "/data/scales.tsv"),
+        ("registry = #2.tsv", ""),
+    ])
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path, line, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# header\n  # indented comment\n{line}\n")
+        assert load_config(str(cfg), {}).registry == value
+
+    def test_resolved_config_with_hash_in_workdir_loads_back(self, tmp_path, fixture_files, capsys):
+        fasta, meta, _ = fixture_files
+        wd = tmp_path / "run#2"
+        assert main(["ingest", "--fasta", str(fasta), "--metadata", str(meta),
+                     "--workdir", str(wd)]) == 0
+        resolved = wd / "ingest.resolved.cfg"
+        cfg = load_config(str(resolved), {})
+        assert cfg.workdir == str(wd)
+        assert cfg.resolved_lines() == resolved.read_text()
+        capsys.readouterr()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import cohort_fixture_texts, random_sequence
+from spikesev import dataset
 from spikesev.dataset import (
+    LABEL_OF,
     CodebookFormatError,
     CovariateCodebook,
     FeatureMatrix,
@@ -18,11 +20,21 @@ from spikesev.dataset import (
     split_indices,
     stratified_split,
     to_arrays,
+    write_features,
     write_matrix,
+    write_rows,
 )
 from spikesev.ingest import Severity, SpikeRecord, build_cohort, parse_fasta, parse_metadata
-from spikesev.scales import default_registry
-from spikesev.seqfeatures import GLOBAL_DESCRIPTOR_LENGTH, global_descriptors, residue_encoding
+from spikesev.scales import AMINO_ACIDS, default_registry
+from spikesev.seqfeatures import (
+    GLOBAL_DESCRIPTOR_LENGTH,
+    RBD_END,
+    RBD_START,
+    global_descriptors,
+    rbd_weights,
+    residue_encoding,
+    residue_row_table,
+)
 
 REG = default_registry()
 
@@ -152,6 +164,67 @@ class TestAssemble:
         assert m.x.tobytes() == np.concatenate([r.x for r in rows]).tobytes()
         assert m.y.tolist() == [1, 0, 0] and m.ids == ("EPI0", "EPI1", "EPI2")
         assert truncated == 1
+
+
+def _reference_featurize(records, registry, codebook, n_model):
+    """The per-record loop `featurize` once ran: each row's head built in
+    float64 from the unweighted residue table times the RBD weights, cut to
+    fit, and rounded to float32 on store, then the covariate block."""
+    width = codebook.width
+    x = np.zeros((len(records), n_model), dtype=np.float32)
+    truncated = 0
+    table = residue_row_table(registry)
+    for row, record in zip(x, records):
+        idx = [AMINO_ACIDS.index(aa) for aa in record.sequence]
+        residues = table[idx] * rbd_weights(len(idx))[:, None]
+        seq = np.concatenate([global_descriptors(record.sequence, registry).to_vector(), residues.reshape(-1)])
+        truncated += seq.size > n_model - width
+        seq = seq[: n_model - width]
+        row[: seq.size] = seq
+        row[seq.size : seq.size + width] = encode_covariates(record, codebook)
+    return x, truncated
+
+
+# Lengths that end before the RBD, inside it and past it.
+ORACLE_LENGTHS = (40, RBD_START + 30, RBD_END + 60)
+
+
+def _oracle_records(n: int) -> tuple[list[SpikeRecord], CovariateCodebook]:
+    """`n` records cycling through ORACLE_LENGTHS, and a codebook fitted on
+    all but the last, whose clade, lineage and age it has not seen."""
+    rng = np.random.default_rng(n)
+    records = [
+        _record(f"EPI{i}", random_sequence(rng, ORACLE_LENGTHS[i % 3]), age=20 + i,
+                gender=("male", "female")[i % 2], clade=f"G{i % 2}", lineage=f"B.{i}",
+                label=Severity(("mild", "severe")[i % 2]))
+        for i in range(n)
+    ]
+    fitted = records[:-1] or [_record(clade="other", lineage="other", age=99)]
+    return records, fit_codebook(fitted)
+
+
+class TestAgainstPerRecordReference:
+    # Residue slots after the descriptors: a first row cut mid-row, a
+    # boundary inside the RBD, a cut mid-row inside the RBD, the middle
+    # length exactly, and room to spare for every length (zero padding).
+    @pytest.mark.parametrize("slots", [0, 3, 10 * RBD_START, 10 * RBD_START + 7,
+                                       10 * ORACLE_LENGTHS[1], 10 * ORACLE_LENGTHS[2] + 13])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_rows_have_the_reference_bytes(self, n, slots, tmp_path, monkeypatch):
+        records, cb = _oracle_records(n)
+        n_model = GLOBAL_DESCRIPTOR_LENGTH + slots + cb.width
+        monkeypatch.setattr(dataset, "MATRIX_BLOCK_BYTES", 2 * 4 * n_model)  # blocks of 2 rows
+        want, want_truncated = _reference_featurize(records, REG, cb, n_model)
+        m, truncated = featurize(records, REG, cb, n_model)
+        labels, ids = [LABEL_OF[r.label] for r in records], tuple(r.accession_id for r in records)
+        assert m.x.tobytes() == want.tobytes()
+        assert truncated == want_truncated
+        assert m.y.tolist() == labels and m.ids == ids
+        if n:
+            assert write_features(records, REG, cb, n_model, tmp_path / "f.mat") == want_truncated
+            write_matrix(FeatureMatrix(want, labels, ids), tmp_path / "want.mat")
+            assert (tmp_path / "f.mat").read_bytes() == (tmp_path / "want.mat").read_bytes()
+            assert (tmp_path / "f.ids").read_bytes() == (tmp_path / "want.ids").read_bytes()
 
 
 def _matrix(n0: int, n1: int, dim: int = 6, seed: int = 0) -> FeatureMatrix:
