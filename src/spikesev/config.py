@@ -4,7 +4,9 @@ A config file holds `key = value` lines, each key at most once. A `#` at the
 start of a line or after whitespace starts a comment; any other `#` is part
 of the value, so `registry = /data/run#2/scales.tsv` keeps its path.
 Command-line flags override file values; every run writes its fully resolved
-configuration next to its outputs.
+configuration next to its outputs. A value that file could not load back (a
+line break, leading or trailing whitespace, or a `#` that would start a
+comment) is refused.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class RunConfig:
         for key, raw in overrides.items():
             if key not in by_name:
                 raise ConfigError(f"unknown configuration key: {key}")
+            if raw.splitlines() not in ([], [raw]) or raw != raw.strip() or _COMMENT.search(raw):
+                raise ConfigError(
+                    f"bad value for {key}: {raw!r} (a config file cannot hold a line break, "
+                    "leading or trailing whitespace, or a '#' at the start or after whitespace)"
+                )
             current = getattr(self, key)
             try:
                 if isinstance(current, int):

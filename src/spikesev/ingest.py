@@ -430,10 +430,14 @@ def write_cohort(records: list[SpikeRecord], path: str | Path) -> None:
 
 
 def read_cohort(path: str | Path) -> list[SpikeRecord]:
+    """Records of a `write_cohort` file. A row that file could not hold (a
+    wrong field count, a repeated accession, an age that is not plain
+    digits, a label other than mild or severe) is refused as `<path>:<line>`."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split("\t") != _COHORT_HEADER:
         raise MetadataError(f"{path}: not a cohort file")
     records = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -441,6 +445,11 @@ def read_cohort(path: str | Path) -> list[SpikeRecord]:
         if len(fields) != len(_COHORT_HEADER):
             raise MetadataError(f"{path}:{lineno}: expected {len(_COHORT_HEADER)} fields")
         acc, seq, age, gender, clade, lineage, label = fields
+        if acc in first_line:
+            raise MetadataError(f"{path}:{lineno}: duplicate accession id {acc} (first on line {first_line[acc]})")
+        first_line[acc] = lineno
+        if not (age.isascii() and age.isdigit()):
+            raise MetadataError(f"{path}:{lineno}: age must be a non-negative integer, got {age!r}")
         if label not in (Severity.MILD.value, Severity.SEVERE.value):
             raise MetadataError(f"{path}:{lineno}: label must be mild or severe, got {label!r}")
         records.append(

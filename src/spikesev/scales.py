@@ -78,15 +78,6 @@ class ScalesRegistry:
     def content_hash(self) -> str:
         return self._hash
 
-    def scale(self, name: str) -> dict[str, float]:
-        if name not in _SCALE_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
-    def scale_range(self, name: str) -> tuple[float, float]:
-        values = self.scale(name).values()
-        return min(values), max(values)
-
 
 def canonical_lines(reg: ScalesRegistry) -> list[str]:
     """Canonical row serialization: fixed section order, sorted keys."""

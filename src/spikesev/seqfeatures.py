@@ -1,10 +1,12 @@
 """Sequence-level descriptors and the weighted per-residue encoding.
 
-Global descriptors summarize a whole amino-acid sequence in 29 numbers laid
-out as [aac(20), length, diversity, mean_hydrophobicity, net_charge,
-ss_fractions(3), polarity, hbond_potential]. The per-residue encoding maps
-each position to a 10-column row and up-weights the receptor-binding domain
-(positions 319..541, 1-based, inclusive) by a factor of 5.
+`global_descriptors` summarizes a whole amino-acid sequence in 29 numbers
+laid out as [aac(20), length, diversity, mean_hydrophobicity, net_charge,
+ss_fractions(3), polarity, hbond_potential]; net charge is computed at
+PHYSIOLOGICAL_PH (7.4) only. `residue_encoding` maps each position to a
+10-column row of `residue_row_table` and up-weights the receptor-binding
+domain (positions 319..541, 1-based, inclusive) by a factor of 5.
+`write_sequence_features` stores both, in that order, into a float32 row.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ def residue_indices(sequence: str) -> np.ndarray:
     return idx
 
 
-def _counts(sequence: str) -> np.ndarray:
-    return np.bincount(residue_indices(sequence), minlength=20)
-
-
 def _scale(table: dict[str, float]) -> np.ndarray:
     return np.array([table[aa] for aa in AMINO_ACIDS])
 
@@ -65,18 +63,21 @@ def _members(residues: frozenset[str]) -> np.ndarray:
     return np.array([float(aa in residues) for aa in AMINO_ACIDS])
 
 
-def _side_chain_charges(registry: ScalesRegistry, ph: float) -> np.ndarray:
-    """Henderson-Hasselbalch side-chain charge of each residue at `ph`."""
-    pka = registry.pka_side_chain
+def _side_chain_charges(registry: ScalesRegistry) -> np.ndarray:
+    """Henderson-Hasselbalch side-chain charge of each residue at
+    PHYSIOLOGICAL_PH: 1/(1+10^(pH-pKa)) for K, R and H, -1/(1+10^(pKa-pH))
+    for D, E, C and Y."""
+    ph, pka = PHYSIOLOGICAL_PH, registry.pka_side_chain
     charges = dict.fromkeys(AMINO_ACIDS, 0.0)
     charges.update({aa: 1.0 / (1.0 + 10.0 ** (ph - pka[aa])) for aa in "KRH"})
     charges.update({aa: -1.0 / (1.0 + 10.0 ** (pka[aa] - ph)) for aa in "DECY"})
     return _scale(charges)
 
 
-def _net_charge(side_chains: float, registry: ScalesRegistry, ph: float) -> float:
-    """The side chains' summed charge plus the termini's."""
-    n_term, c_term = registry.pka_termini
+def _net_charge(side_chains: float, registry: ScalesRegistry) -> float:
+    """The side chains' summed charge plus the termini's, once per chain,
+    at PHYSIOLOGICAL_PH."""
+    ph, (n_term, c_term) = PHYSIOLOGICAL_PH, registry.pka_termini
     return side_chains + 1.0 / (1.0 + 10.0 ** (ph - n_term)) - 1.0 / (1.0 + 10.0 ** (c_term - ph))
 
 
@@ -96,7 +97,7 @@ def _columns(registry: ScalesRegistry) -> tuple[np.ndarray, np.ndarray, np.ndarr
         sets = registry.class_sets
         descriptor = np.column_stack([
             _scale(registry.hydrophobicity),
-            _side_chain_charges(registry, PHYSIOLOGICAL_PH),
+            _side_chain_charges(registry),
             *(_members(sets[name]) for name in ("helix_class", "strand_class", "coil_class")),
             _scale(registry.polarity),
             _members(sets["hbond_capable"]),
@@ -107,45 +108,6 @@ def _columns(registry: ScalesRegistry) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _COLUMNS[registry.content_hash]
 
 
-def amino_acid_composition(sequence: str) -> np.ndarray:
-    """Residue frequencies in fixed alphabetical order (A, C, D, ..., Y)."""
-    return _counts(sequence) / len(sequence)
-
-
-def mean_hydrophobicity(sequence: str, registry: ScalesRegistry) -> float:
-    return global_descriptors(sequence, registry).mean_hydrophobicity
-
-
-def net_charge(sequence: str, registry: ScalesRegistry, ph: float = PHYSIOLOGICAL_PH) -> float:
-    """Henderson-Hasselbalch net charge, termini included once per chain.
-
-    Positive groups (K, R, H side chains and the N-terminus) contribute
-    1/(1+10^(pH-pKa)); acidic groups (D, E, C, Y side chains and the
-    C-terminus) contribute -1/(1+10^(pKa-pH)).
-    """
-    counts = _counts(sequence)
-    if not 0.0 < ph < 14.0:
-        raise ValueError(f"pH must lie in (0, 14), got {ph}")
-    return _net_charge(counts @ _side_chain_charges(registry, ph), registry, ph)
-
-
-def ss_fractions(sequence: str, registry: ScalesRegistry) -> np.ndarray:
-    """Fractions of residues in the helix, strand and coil class sets.
-
-    The sets may overlap, so the three fractions need not sum to 1.
-    """
-    return global_descriptors(sequence, registry).ss_fractions
-
-
-def weighted_polarity(sequence: str, registry: ScalesRegistry) -> float:
-    """Frequency-weighted polarity; equals the mean per-residue polarity."""
-    return global_descriptors(sequence, registry).polarity
-
-
-def hbond_potential(sequence: str, registry: ScalesRegistry) -> float:
-    return global_descriptors(sequence, registry).hbond_potential
-
-
 @dataclass(frozen=True)
 class GlobalDescriptors:
     aac: np.ndarray
@@ -153,7 +115,7 @@ class GlobalDescriptors:
     diversity: int
     mean_hydrophobicity: float
     net_charge: float
-    ss_fractions: np.ndarray
+    ss_fractions: np.ndarray  # helix, strand and coil class fractions; the sets may overlap
     polarity: float
     hbond_potential: float
 
@@ -174,7 +136,7 @@ def _descriptors(counts: np.ndarray, registry: ScalesRegistry) -> GlobalDescript
         length=n,
         diversity=int(np.count_nonzero(counts)),
         mean_hydrophobicity=hydro / n,
-        net_charge=_net_charge(side_chains, registry, PHYSIOLOGICAL_PH),
+        net_charge=_net_charge(side_chains, registry),
         ss_fractions=np.array([helix, strand, coil]) / n,
         polarity=polarity / n,
         hbond_potential=hbond / n,
@@ -182,7 +144,7 @@ def _descriptors(counts: np.ndarray, registry: ScalesRegistry) -> GlobalDescript
 
 
 def global_descriptors(sequence: str, registry: ScalesRegistry) -> GlobalDescriptors:
-    return _descriptors(_counts(sequence), registry)
+    return _descriptors(np.bincount(residue_indices(sequence), minlength=20), registry)
 
 
 def residue_row_table(registry: ScalesRegistry) -> np.ndarray:
@@ -205,19 +167,6 @@ def residue_row_table(registry: ScalesRegistry) -> np.ndarray:
     ])
 
 
-def rbd_weights(length: int) -> np.ndarray:
-    """Per-position weights: RBD_WEIGHT inside [RBD_START, RBD_END], else 1."""
-    weights = np.ones(length, dtype=np.float64)
-    weights[RBD_START - 1 : RBD_END] = RBD_WEIGHT
-    return weights
-
-
-@dataclass(frozen=True)
-class ResidueEncoding:
-    matrix: np.ndarray  # (L, 10), rows already multiplied by rbd_weights
-    rbd_weights: np.ndarray  # (L,)
-
-
 def _weighted_rows(idx: np.ndarray) -> np.ndarray:
     """Row of the weighted residue table for each position: the residue
     index, plus 20 inside [RBD_START, RBD_END]."""
@@ -226,27 +175,17 @@ def _weighted_rows(idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _residue_rows(idx: np.ndarray, registry: ScalesRegistry) -> np.ndarray:
-    return _columns(registry)[1][_weighted_rows(idx)]
-
-
-def residue_encoding(sequence: str, registry: ScalesRegistry) -> ResidueEncoding:
-    idx = residue_indices(sequence)
-    return ResidueEncoding(matrix=_residue_rows(idx, registry), rbd_weights=rbd_weights(len(idx)))
-
-
-def sequence_features(sequence: str, registry: ScalesRegistry) -> np.ndarray:
-    """[global descriptors | residue rows, row-major]: the sequence-derived
-    head of a feature vector, from one residue-index array."""
-    idx = residue_indices(sequence)
-    descriptors = _descriptors(np.bincount(idx, minlength=20), registry)
-    return np.concatenate([descriptors.to_vector(), _residue_rows(idx, registry).reshape(-1)])
+def residue_encoding(sequence: str, registry: ScalesRegistry) -> np.ndarray:
+    """The (L, 10) weighted residue matrix: each position's row of
+    `residue_row_table`, times RBD_WEIGHT inside [RBD_START, RBD_END]."""
+    return _columns(registry)[1][_weighted_rows(residue_indices(sequence))]
 
 
 def write_sequence_features(out: np.ndarray, sequence: str, registry: ScalesRegistry) -> int:
-    """Store `sequence_features(sequence, registry)` into the float32 `out`,
-    truncated at its end; return the full head's length. `out` holds at
-    least GLOBAL_DESCRIPTOR_LENGTH values.
+    """Store the head of a feature vector into the float32 `out`: the
+    `global_descriptors` vector, then the `residue_encoding` rows row-major,
+    truncated at the end of `out`. Return the full head's length. `out` holds
+    at least GLOBAL_DESCRIPTOR_LENGTH values.
 
     The residue rows are gathered from the float32 table straight into
     `out`, which gives the same bytes as rounding the float64 rows on store.

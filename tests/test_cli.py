@@ -11,7 +11,7 @@ from helpers import cohort_fixture_texts, separable_blobs
 from spikesev import dataset
 from spikesev.checkpoint import save_checkpoint
 from spikesev.cli import build_parser, main
-from spikesev.config import RunConfig, load_config
+from spikesev.config import ConfigError, RunConfig, load_config
 from spikesev.ingest import Severity, SpikeRecord, read_cohort, write_cohort
 from spikesev.layers import DenseSpec, LSTMSpec
 from spikesev.network import Architecture, Network, param_count
@@ -715,3 +715,52 @@ class TestConfigFile:
         assert cfg.workdir == str(wd)
         assert cfg.resolved_lines() == resolved.read_text()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key, value", [
+        ("workdir", "w #2"),
+        ("workdir", "w\t#2"),
+        ("workdir", "#w"),
+        ("workdir", " lead"),
+        ("workdir", "trail "),
+        ("registry", "/data/a\nb=c"),
+        ("registry", "/data/a\rb"),
+        ("registry", "/data/a\u2028b"),  # a line break to str.splitlines
+    ])
+    def test_value_the_resolved_config_cannot_load_back_is_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for {key}: "):
+            load_config(None, {key: value})
+
+    @pytest.mark.parametrize("value", ["run#2", "a=b", "with space", ""])
+    def test_value_the_resolved_config_loads_back_is_kept(self, tmp_path, value):
+        cfg = load_config(None, {"registry": value})
+        resolved = tmp_path / "run.cfg"
+        resolved.write_text(cfg.resolved_lines())
+        assert load_config(str(resolved), {}).registry == value
+
+    def test_ingest_with_an_unwritable_workdir_creates_nothing(self, tmp_path, fixture_files,
+                                                                 monkeypatch, capsys):
+        fasta, meta, _ = fixture_files
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", "w #2"]) == 2
+        assert "bad value for workdir: 'w #2'" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("stage_args", [
+        ["stats", "--cohort", "cohort.tsv"],
+        ["featurize", "--cohort", "cohort.tsv"],
+        ["split", "--matrix", "features.mat"],
+        ["balance", "--matrix", "train.mat"],
+        ["train", "--matrix", "train.mat"],
+        ["evaluate", "--checkpoint", "model.ckpt", "--matrix", "test.mat"],
+        ["predict", "--checkpoint", "model.ckpt", "--codebook", "codebook.tsv", "--cohort", "cohort.tsv"],
+        ["search", "--matrix", "train.mat"],
+        ["gradcheck"],
+    ], ids=lambda args: args[0])
+    def test_every_other_stage_refuses_the_workdir_before_reading_or_writing(self, tmp_path, stage_args,
+                                                                              monkeypatch, capsys):
+        # the named inputs do not exist: the config error must come first
+        monkeypatch.chdir(tmp_path)
+        assert main([*stage_args, "--workdir", "w #2"]) == 2
+        assert "bad value for workdir: 'w #2'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

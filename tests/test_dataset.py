@@ -30,8 +30,8 @@ from spikesev.seqfeatures import (
     GLOBAL_DESCRIPTOR_LENGTH,
     RBD_END,
     RBD_START,
+    RBD_WEIGHT,
     global_descriptors,
-    rbd_weights,
     residue_encoding,
     residue_row_table,
 )
@@ -112,7 +112,7 @@ class TestAssemble:
         # each block sits where the sizes of the blocks before it put it
         blocks = [
             global_descriptors(records[0].sequence, REG).to_vector(),
-            residue_encoding(records[0].sequence, REG).matrix.reshape(-1),
+            residue_encoding(records[0].sequence, REG).reshape(-1),
             encode_covariates(records[0], cb),
         ]
         ends = np.cumsum([b.size for b in blocks]).tolist()
@@ -176,7 +176,9 @@ def _reference_featurize(records, registry, codebook, n_model):
     table = residue_row_table(registry)
     for row, record in zip(x, records):
         idx = [AMINO_ACIDS.index(aa) for aa in record.sequence]
-        residues = table[idx] * rbd_weights(len(idx))[:, None]
+        weights = np.ones(len(idx))
+        weights[RBD_START - 1 : RBD_END] = RBD_WEIGHT
+        residues = table[idx] * weights[:, None]
         seq = np.concatenate([global_descriptors(record.sequence, registry).to_vector(), residues.reshape(-1)])
         truncated += seq.size > n_model - width
         seq = seq[: n_model - width]

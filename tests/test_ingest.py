@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -300,6 +301,27 @@ def test_read_cohort_refuses_labels_other_than_mild_and_severe(tmp_path, label):
     path = tmp_path / "cohort.tsv"
     write_cohort(cohort, path)
     with pytest.raises(MetadataError, match=f"cohort.tsv:3: label must be mild or severe, got '{label.value}'"):
+        read_cohort(path)
+
+
+COHORT_HEADER_LINE = "accession\tsequence\tage\tgender\tclade\tlineage\tlabel\n"
+
+
+@pytest.mark.parametrize("age", ["abc", "-4", "+4", " 4", "4.0", "", "\u0664"])
+def test_read_cohort_refuses_an_age_that_is_not_plain_digits(tmp_path, age):
+    path = tmp_path / "cohort.tsv"
+    path.write_text(COHORT_HEADER_LINE + "A1\tMKV\t54\tmale\tGR\tP.1\tmild\n"
+                    + f"A2\tMKV\t{age}\tmale\tGR\tP.1\tsevere\n")
+    want = f"cohort.tsv:3: age must be a non-negative integer, got {age!r}"
+    with pytest.raises(MetadataError, match=re.escape(want)):
+        read_cohort(path)
+
+
+def test_read_cohort_refuses_a_repeated_accession(tmp_path):
+    path = tmp_path / "cohort.tsv"
+    row = "A1\tMKV\t54\tmale\tGR\tP.1\tmild\n"
+    path.write_text(COHORT_HEADER_LINE + row + "A2\tMKV\t61\tfemale\tGR\tP.1\tsevere\n" + row)
+    with pytest.raises(MetadataError, match=re.escape("cohort.tsv:4: duplicate accession id A1 (first on line 2)")):
         read_cohort(path)
 
 

@@ -22,7 +22,7 @@ def registry():
 
 def test_scales_cover_all_twenty_residues(registry):
     for name in ("hydrophobicity", "polarity", "isoelectric_point"):
-        assert set(registry.scale(name)) == set(AMINO_ACIDS)
+        assert set(getattr(registry, name)) == set(AMINO_ACIDS)
 
 
 def test_pka_tables(registry):
@@ -102,5 +102,6 @@ def test_malformed_table_is_rejected():
 
 
 def test_scale_range_extremes(registry):
-    assert registry.scale_range("hydrophobicity") == (-4.5, 4.5)
-    assert registry.scale_range("polarity") == (-3.4, 3.0)
+    for name, extremes in (("hydrophobicity", (-4.5, 4.5)), ("polarity", (-3.4, 3.0))):
+        values = getattr(registry, name).values()
+        assert (min(values), max(values)) == extremes

@@ -11,60 +11,58 @@ from spikesev.seqfeatures import (
     RBD_END,
     RBD_START,
     RBD_WEIGHT,
-    amino_acid_composition,
     global_descriptors,
-    hbond_potential,
-    mean_hydrophobicity,
-    net_charge,
-    rbd_weights,
     residue_encoding,
     residue_row_table,
-    sequence_features,
-    ss_fractions,
-    weighted_polarity,
+    write_sequence_features,
 )
 
 REG = default_registry()
+
+
+def _describe(seq):
+    return global_descriptors(seq, REG)
+
 
 sequences = st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=80)
 
 
 class TestComposition:
     def test_single_residue_sequence(self):
-        aac = amino_acid_composition("AAAA")
+        aac = _describe("AAAA").aac
         assert aac[0] == 1.0
         assert aac[1:].sum() == 0.0
 
     def test_direct_counts(self):
-        aac = amino_acid_composition("ACDC")
+        aac = _describe("ACDC").aac
         assert aac[AMINO_ACIDS.index("A")] == pytest.approx(0.25)
         assert aac[AMINO_ACIDS.index("C")] == pytest.approx(0.5)
         assert aac[AMINO_ACIDS.index("D")] == pytest.approx(0.25)
 
     @given(sequences)
     def test_sums_to_one(self, seq):
-        aac = amino_acid_composition(seq)
+        aac = _describe(seq).aac
         assert abs(aac.sum() - 1.0) < 1e-9
         assert (aac >= 0).all() and (aac <= 1).all()
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty sequence"):
-            amino_acid_composition("")
+            _describe("")
 
 
 class TestHydrophobicity:
     def test_two_residue_lookup(self):
         # published hydropathy values: A = 1.8, I = 4.5
-        assert mean_hydrophobicity("AI", REG) == pytest.approx(3.15)
+        assert _describe("AI").mean_hydrophobicity == pytest.approx(3.15)
 
     def test_constant_sequence_equals_scale_value(self):
-        assert mean_hydrophobicity("RR", REG) == pytest.approx(REG.hydrophobicity["R"])
+        assert _describe("RR").mean_hydrophobicity == pytest.approx(REG.hydrophobicity["R"])
 
     @given(sequences)
     def test_permutation_invariance(self, seq):
         shuffled = "".join(sorted(seq))
-        assert mean_hydrophobicity(seq, REG) == pytest.approx(
-            mean_hydrophobicity(shuffled, REG)
+        assert _describe(seq).mean_hydrophobicity == pytest.approx(
+            _describe(shuffled).mean_hydrophobicity
         )
 
 
@@ -79,7 +77,7 @@ class TestNetCharge:
     def test_no_ionizable_side_chains_reduces_to_termini(self):
         n_term, c_term = REG.pka_termini
         expected = _site_charge(7.4, n_term, acidic=False) + _site_charge(7.4, c_term, acidic=True)
-        assert net_charge("GGG", REG) == pytest.approx(expected, abs=1e-12)
+        assert _describe("GGG").net_charge == pytest.approx(expected, abs=1e-12)
 
     def test_lysine_homopolymer_matches_per_site_oracle(self):
         n_term, c_term = REG.pka_termini
@@ -88,7 +86,7 @@ class TestNetCharge:
             + _site_charge(7.4, n_term, acidic=False)
             + _site_charge(7.4, c_term, acidic=True)
         )
-        assert net_charge("KKKK", REG) == pytest.approx(expected, abs=1e-12)
+        assert _describe("KKKK").net_charge == pytest.approx(expected, abs=1e-12)
 
     def test_mixed_sequence_matches_per_site_oracle(self):
         seq = "KDHECYRA"
@@ -99,24 +97,14 @@ class TestNetCharge:
                 expected += _site_charge(7.4, REG.pka_side_chain[aa], False)
             elif aa in "DECY":
                 expected += _site_charge(7.4, REG.pka_side_chain[aa], True)
-        assert net_charge(seq, REG) == pytest.approx(expected, abs=1e-12)
-
-    @given(sequences)
-    @settings(max_examples=50)
-    def test_monotone_in_ph(self, seq):
-        assert net_charge(seq, REG, ph=5.0) >= net_charge(seq, REG, ph=9.0)
-
-    @pytest.mark.parametrize("ph", [0.0, 14.0, -1.0, 15.0])
-    def test_ph_out_of_range(self, ph):
-        with pytest.raises(ValueError, match="pH"):
-            net_charge("AA", REG, ph=ph)
+        assert _describe(seq).net_charge == pytest.approx(expected, abs=1e-12)
 
 
 class TestStructureFractions:
     def test_all_helix_class_sequence(self):
         seq = "VIY"  # every residue in the helix class set
         assert all(aa in REG.class_sets["helix_class"] for aa in seq)
-        helix, strand, coil = ss_fractions(seq, REG)
+        helix, strand, coil = _describe(seq).ss_fractions
         assert helix == 1.0
         assert 0.0 <= strand <= 1.0 and 0.0 <= coil <= 1.0
 
@@ -127,35 +115,35 @@ class TestStructureFractions:
             for a in AMINO_ACIDS
             if a not in sets["helix_class"] and a not in sets["strand_class"] and a not in sets["coil_class"]
         )
-        assert ss_fractions(aa, REG).tolist() == [0.0, 0.0, 0.0]
+        assert _describe(aa).ss_fractions.tolist() == [0.0, 0.0, 0.0]
 
     @given(sequences)
     def test_each_fraction_in_unit_interval(self, seq):
-        fracs = ss_fractions(seq, REG)
+        fracs = _describe(seq).ss_fractions
         assert (fracs >= 0.0).all() and (fracs <= 1.0).all()
 
 
 class TestPolarityAndHBond:
     def test_constant_sequence(self):
-        assert weighted_polarity("NNN", REG) == pytest.approx(REG.polarity["N"])
+        assert _describe("NNN").polarity == pytest.approx(REG.polarity["N"])
 
     def test_two_residue_lookup(self):
         # published hydrophilicity values: D = 3.0, K = 3.0
-        assert weighted_polarity("DK", REG) == pytest.approx(3.0)
+        assert _describe("DK").polarity == pytest.approx(3.0)
 
     @given(sequences)
     def test_equals_mean_over_residues(self, seq):
         expected = sum(REG.polarity[aa] for aa in seq) / len(seq)
-        assert weighted_polarity(seq, REG) == pytest.approx(expected)
+        assert _describe(seq).polarity == pytest.approx(expected)
 
     def test_hbond_examples(self):
-        assert hbond_potential("STNQ", REG) == 1.0
-        assert hbond_potential("AAAA", REG) == 0.0
-        assert hbond_potential("SA", REG) == 0.5
+        assert _describe("STNQ").hbond_potential == 1.0
+        assert _describe("AAAA").hbond_potential == 0.0
+        assert _describe("SA").hbond_potential == 0.5
 
     @given(sequences)
     def test_hbond_in_unit_interval(self, seq):
-        assert 0.0 <= hbond_potential(seq, REG) <= 1.0
+        assert 0.0 <= _describe(seq).hbond_potential <= 1.0
 
 
 class TestGlobalDescriptors:
@@ -218,28 +206,41 @@ class TestResidueEncoding:
         enc = residue_encoding(seq, REG)
         table = residue_row_table(REG)
         unweighted_319 = table[AMINO_ACIDS.index(seq[RBD_START - 1])]
-        np.testing.assert_allclose(enc.matrix[RBD_START - 1], RBD_WEIGHT * unweighted_319)
+        np.testing.assert_allclose(enc[RBD_START - 1], RBD_WEIGHT * unweighted_319)
         unweighted_318 = table[AMINO_ACIDS.index(seq[RBD_START - 2])]
-        np.testing.assert_allclose(enc.matrix[RBD_START - 2], unweighted_318)
-        assert enc.rbd_weights[RBD_START - 2] == 1.0
-        assert enc.rbd_weights[RBD_START - 1] == RBD_WEIGHT
-        assert enc.rbd_weights[RBD_END - 1] == RBD_WEIGHT
-        assert enc.rbd_weights[RBD_END] == 1.0
+        np.testing.assert_allclose(enc[RBD_START - 2], unweighted_318)
+        # the weight each row carries: 1 outside [RBD_START, RBD_END], RBD_WEIGHT inside
+        for pos, weight in ((RBD_START - 1, 1.0), (RBD_START, RBD_WEIGHT), (RBD_END, RBD_WEIGHT),
+                            (RBD_END + 1, 1.0)):
+            np.testing.assert_array_equal(enc[pos - 1], weight * table[AMINO_ACIDS.index(seq[pos - 1])])
 
     def test_bounds_after_weighting(self):
         seq = "".join(AMINO_ACIDS[i % 20] for i in range(600))
-        m = residue_encoding(seq, REG).matrix
+        m = residue_encoding(seq, REG)
         cont, binary = m[:, :3], m[:, 3:]
         assert cont.min() >= 0.0 and cont.max() <= RBD_WEIGHT
         assert set(np.unique(binary)) <= {0.0, 1.0, RBD_WEIGHT}
 
     def test_short_sequence_has_no_rbd_weighting(self):
         enc = residue_encoding("MKVLL", REG)
-        assert (enc.rbd_weights == 1.0).all()
+        table = residue_row_table(REG)
+        np.testing.assert_array_equal(enc, table[[AMINO_ACIDS.index(aa) for aa in "MKVLL"]])
 
     def test_row_count_matches_length(self):
         enc = residue_encoding("MKVLL", REG)
-        assert enc.matrix.shape == (5, 10)
+        assert enc.shape == (5, 10)
+
+    @pytest.mark.parametrize(
+        "length", [1, RBD_START - 1, RBD_START, RBD_START + 1, RBD_END - 1, RBD_END, RBD_END + 1, 1273]
+    )
+    def test_rbd_window_for_a_sequence_ending_at_each_edge(self, length):
+        seq = "".join(AMINO_ACIDS[(7 * i) % 20] for i in range(length))
+        enc = residue_encoding(seq, REG)
+        unweighted = residue_row_table(REG)[[AMINO_ACIDS.index(aa) for aa in seq]]
+        # every table row is nonzero, so exactly the window's rows differ from their unweighted row
+        weighted = np.flatnonzero((enc != unweighted).any(axis=1)) + 1
+        np.testing.assert_array_equal(weighted, np.arange(RBD_START, min(length, RBD_END) + 1))
+        np.testing.assert_array_equal(enc[weighted - 1], RBD_WEIGHT * unweighted[weighted - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +271,9 @@ def ref_mean_scale(sequence, table):
     return sum(table[aa] for aa in sequence) / len(sequence)
 
 
-def ref_net_charge(sequence, registry, ph=7.4):
+def ref_net_charge(sequence, registry):
     _ref_check(sequence)
-    pka = registry.pka_side_chain
+    ph, pka = 7.4, registry.pka_side_chain
     charge = 0.0
     for aa in sequence:
         if aa in "KRH":
@@ -319,13 +320,11 @@ class TestAgainstPerResidueReference:
         d = global_descriptors(seq, REG)
         sets = REG.class_sets
         np.testing.assert_array_equal(d.aac, ref_composition(seq))
-        np.testing.assert_array_equal(amino_acid_composition(seq), ref_composition(seq))
         assert d.length == len(seq)
         assert d.diversity == len(set(seq))
         want_ss = [ref_fraction_in(seq, sets[n]) for n in ("helix_class", "strand_class", "coil_class")]
         assert d.ss_fractions.tolist() == want_ss
-        assert ss_fractions(seq, REG).tolist() == want_ss
-        assert d.hbond_potential == hbond_potential(seq, REG) == ref_fraction_in(seq, sets["hbond_capable"])
+        assert d.hbond_potential == ref_fraction_in(seq, sets["hbond_capable"])
 
     @given(oracle_sequences)
     @settings(max_examples=60, deadline=None)
@@ -336,38 +335,71 @@ class TestAgainstPerResidueReference:
         want_hyd = ref_mean_scale(seq, REG.hydrophobicity)
         want_pol = ref_mean_scale(seq, REG.polarity)
         assert _close(d.mean_hydrophobicity, want_hyd, hyd_scale)
-        assert _close(mean_hydrophobicity(seq, REG), want_hyd, hyd_scale)
         assert _close(d.polarity, want_pol, pol_scale)
-        assert _close(weighted_polarity(seq, REG), want_pol, pol_scale)
         assert _close(d.net_charge, ref_net_charge(seq, REG), len(seq))
-        for ph in (3.0, 7.4, 11.5):
-            assert _close(net_charge(seq, REG, ph=ph), ref_net_charge(seq, REG, ph=ph), len(seq))
 
     @given(oracle_sequences)
     @settings(max_examples=40, deadline=None)
     def test_residue_block_is_exact(self, seq):
         want = ref_residue_matrix(seq, REG)
-        enc = residue_encoding(seq, REG)
-        np.testing.assert_array_equal(enc.matrix, want)
-        np.testing.assert_array_equal(enc.rbd_weights, rbd_weights(len(seq)))
-        head = sequence_features(seq, REG)
-        np.testing.assert_array_equal(head[:GLOBAL_DESCRIPTOR_LENGTH], global_descriptors(seq, REG).to_vector())
-        np.testing.assert_array_equal(head[GLOBAL_DESCRIPTOR_LENGTH:], want.reshape(-1))
+        np.testing.assert_array_equal(residue_encoding(seq, REG), want)
+        head = np.full(GLOBAL_DESCRIPTOR_LENGTH + want.size + 3, np.nan, dtype=np.float32)
+        assert write_sequence_features(head, seq, REG) == GLOBAL_DESCRIPTOR_LENGTH + want.size
+        want_head = np.concatenate([global_descriptors(seq, REG).to_vector(), want.reshape(-1)])
+        np.testing.assert_array_equal(head[: want_head.size], want_head.astype(np.float32))
+        assert np.isnan(head[want_head.size :]).all()
 
-    @pytest.mark.parametrize("seq", ["", "acd", "Mkv", "AÉ", "É", "AXA", "X", "A-C", "A C", "MKV*"])
+    @pytest.mark.parametrize("aa", list(AMINO_ACIDS))
+    def test_single_residue_matches_the_registry(self, aa):
+        d = global_descriptors(aa, REG)
+        sets = REG.class_sets
+        np.testing.assert_array_equal(d.aac, ref_composition(aa))
+        assert (d.length, d.diversity) == (1, 1)
+        assert d.mean_hydrophobicity == REG.hydrophobicity[aa]
+        assert d.polarity == REG.polarity[aa]
+        assert _close(d.net_charge, ref_net_charge(aa, REG), 1)
+        assert d.ss_fractions.tolist() == [float(aa in sets[n]) for n in ("helix_class", "strand_class", "coil_class")]
+        assert d.hbond_potential == float(aa in sets["hbond_capable"])
+        np.testing.assert_array_equal(residue_encoding(aa, REG), ref_residue_matrix(aa, REG))
+
+    # A sequence that reaches one row into the receptor-binding domain, so the
+    # widths below cut the head at the descriptors' end, inside an unweighted
+    # row and inside the weighted row.
+    _CUT_SEQ = "".join(AMINO_ACIDS[(3 * i) % 20] for i in range(RBD_START))
+    _CUT_FULL = GLOBAL_DESCRIPTOR_LENGTH + 10 * RBD_START
+
+    @pytest.mark.parametrize("width", [
+        GLOBAL_DESCRIPTOR_LENGTH,
+        GLOBAL_DESCRIPTOR_LENGTH + 1,
+        GLOBAL_DESCRIPTOR_LENGTH + 9,
+        GLOBAL_DESCRIPTOR_LENGTH + 10,
+        GLOBAL_DESCRIPTOR_LENGTH + 15,
+        _CUT_FULL - 7,
+        _CUT_FULL - 1,
+        _CUT_FULL,
+        _CUT_FULL + 4,
+    ])
+    def test_write_truncates_the_head_at_any_width(self, width):
+        seq = self._CUT_SEQ
+        want = np.concatenate([global_descriptors(seq, REG).to_vector(), ref_residue_matrix(seq, REG).reshape(-1)])
+        out = np.full(width, np.nan, dtype=np.float32)
+        assert write_sequence_features(out, seq, REG) == self._CUT_FULL == want.size
+        kept = min(width, want.size)
+        np.testing.assert_array_equal(out[:kept], want[:kept].astype(np.float32))
+        assert np.isnan(out[kept:]).all()
+
+    # B, J, O, U and Z are IUPAC codes outside the 20 canonical residues.
+    @pytest.mark.parametrize(
+        "seq", ["", "acd", "Mkv", "AÉ", "É", "AXA", "X", "A-C", "A C", "MKV*", "AB", "J", "OA", "U", "AZ"]
+    )
     @pytest.mark.parametrize(
         "fn",
         [
-            amino_acid_composition,
-            lambda s: mean_hydrophobicity(s, REG),
-            lambda s: net_charge(s, REG),
-            lambda s: ss_fractions(s, REG),
-            lambda s: weighted_polarity(s, REG),
-            lambda s: hbond_potential(s, REG),
             lambda s: global_descriptors(s, REG),
             lambda s: residue_encoding(s, REG),
-            lambda s: sequence_features(s, REG),
+            lambda s: write_sequence_features(np.zeros(100, dtype=np.float32), s, REG),
         ],
+        ids=["global_descriptors", "residue_encoding", "write_sequence_features"],
     )
     def test_invalid_sequences_refused_as_the_reference_does(self, seq, fn):
         with pytest.raises(ValueError) as want:
