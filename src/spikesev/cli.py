@@ -77,9 +77,9 @@ def _arch_from_config(cfg: RunConfig) -> Architecture:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved config and the parsed arguments
 
-def cmd_ingest(cfg: RunConfig) -> int:
+def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
     fasta_text = Path(cfg.fasta).read_text(encoding="utf-8")
     meta_text = Path(cfg.metadata).read_text(encoding="utf-8")
@@ -99,24 +99,24 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stats(cfg: RunConfig, cohort_path: str, out: str | None, record_config: bool) -> int:
-    records = ingest.read_cohort(cohort_path)
+def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
+    records = ingest.read_cohort(args.cohort)
     text = ingest.cohort_stats(records).to_tsv()
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if record_config:
+    if args.workdir is not None:
         _write_resolved(cfg, _workdir(cfg), "stats")
     return EXIT_OK
 
 
-def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
+def cmd_featurize(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
-    records = ingest.read_cohort(cohort_path)
+    records = ingest.read_cohort(args.cohort)
     if not records:
-        raise ValueError(f"{cohort_path}: cohort is empty, nothing to featurize")
+        raise ValueError(f"{args.cohort}: cohort is empty, nothing to featurize")
     codebook = dataset.fit_codebook(records)
     truncated = dataset.write_features(records, registry, codebook, cfg.n_model, wd / "features.mat")
     _warn_truncated(truncated)
@@ -129,9 +129,9 @@ def cmd_featurize(cfg: RunConfig, cohort_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_split(cfg: RunConfig, matrix_path: str) -> int:
+def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
-    m = dataset.read_matrix(matrix_path)
+    m = dataset.read_matrix(args.matrix)
     train_idx, test_idx = dataset.split_indices(m.y, cfg.ratio, cfg.split_seed)
     for name, idx in (("train", train_idx), ("test", test_idx)):
         dataset.write_rows(m, idx, wd / f"{name}.mat")
@@ -140,9 +140,9 @@ def cmd_split(cfg: RunConfig, matrix_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_balance(cfg: RunConfig, matrix_path: str) -> int:
+def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
-    m = dataset.read_matrix(matrix_path)
+    m = dataset.read_matrix(args.matrix)
     balanced = dataset.smote(m, k=cfg.smote_k, seed=cfg.smote_seed)
     dataset.write_matrix(balanced, wd / "balanced.mat")
     _write_resolved(cfg, wd, "balance")
@@ -150,13 +150,13 @@ def cmd_balance(cfg: RunConfig, matrix_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig, matrix_path: str, val_matrix: str | None) -> int:
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
-    m = dataset.read_matrix(matrix_path)
+    m = dataset.read_matrix(args.matrix)
     validation = None
-    if val_matrix:
-        v = dataset.read_matrix(val_matrix)
+    if args.val_matrix:
+        v = dataset.read_matrix(args.val_matrix)
         validation = v.x, v.y
     net = Network(m.x.shape[1], _arch_from_config(cfg).specs(), seed=cfg.train_seed)
     logs, optimizer = training.train(net, m.x, m.y, _train_config(cfg), validation)
@@ -171,12 +171,12 @@ def cmd_train(cfg: RunConfig, matrix_path: str, val_matrix: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(cfg: RunConfig, checkpoint_path: str, matrix_path: str) -> int:
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     evaluation.check_threshold(cfg.threshold)
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
-    net, _, _ = ckpt.load_checkpoint(checkpoint_path, expect_registry_hash=registry.content_hash)
-    m = dataset.read_matrix(matrix_path)
+    net, _, _ = ckpt.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
+    m = dataset.read_matrix(args.matrix)
     if m.x.shape[1] != net.input_length:
         raise ValueError(
             f"matrix width {m.x.shape[1]} does not match checkpoint input length {net.input_length}"
@@ -191,17 +191,17 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path: str, matrix_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort_path: str) -> int:
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     evaluation.check_threshold(cfg.threshold)
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
-    net, _, _ = ckpt.load_checkpoint(checkpoint_path, expect_registry_hash=registry.content_hash)
+    net, _, _ = ckpt.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
     codebook = dataset.CovariateCodebook.from_text(
-        Path(codebook_path).read_text(encoding="utf-8")
+        Path(args.codebook).read_text(encoding="utf-8")
     )
-    records = ingest.read_cohort(cohort_path)
+    records = ingest.read_cohort(args.cohort)
     if not records:
-        raise ValueError(f"{cohort_path}: cohort is empty, nothing to predict")
+        raise ValueError(f"{args.cohort}: cohort is empty, nothing to predict")
     m, truncated = dataset.featurize(records, registry, codebook, net.input_length)
     _warn_truncated(truncated)
     scores = net.predict_scores(m.x)
@@ -216,15 +216,15 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, codebook_path: str, cohort
     return EXIT_OK
 
 
-def cmd_search(cfg: RunConfig, matrix_path: str, include_default: bool) -> int:
+def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
-    m = dataset.read_matrix(matrix_path)
+    m = dataset.read_matrix(args.matrix)
     space = (
         training.parse_search_space(Path(cfg.search_space).read_text(encoding="utf-8"))
         if cfg.search_space
         else training.default_search_space()
     )
-    fixed = [{}] if include_default else None  # nothing sampled: the configured model as is
+    fixed = [{}] if args.include_default else None  # nothing sampled: the configured model as is
     trials = training.random_search(
         space,
         cfg.trials,
@@ -246,9 +246,9 @@ def cmd_search(cfg: RunConfig, matrix_path: str, include_default: bool) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig, record_config: bool) -> int:
+def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     results, passed = run_gradient_checks(seed=cfg.train_seed)
-    if record_config:
+    if args.workdir is not None:
         _write_resolved(cfg, _workdir(cfg), "gradcheck")
     for r in results:
         print(f"{r.tensor}\t{r.rel_error:.3e}\t{'PASS' if r.passed else 'FAIL'}")
@@ -259,7 +259,8 @@ def cmd_gradcheck(cfg: RunConfig, record_config: bool) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, handler) -> None:
+    sub.set_defaults(handler=handler)
     sub.add_argument("--config", help="flat key=value configuration file")
     sub.add_argument("--workdir", help="output directory (all files are written here)")
 
@@ -272,35 +273,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse FASTA + metadata into a clean cohort")
-    _add_common(p)
+    _add_common(p, cmd_ingest)
     p.add_argument("--fasta", required=True)
     p.add_argument("--metadata", required=True)
     p.add_argument("--delimiter", choices=["auto", "tab", "comma"])
 
     p = sub.add_parser("stats", help="cohort frequency tables and mean ages")
-    _add_common(p)
+    _add_common(p, cmd_stats)
     p.add_argument("--cohort", required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("featurize", help="cohort -> feature matrix + codebook")
-    _add_common(p)
+    _add_common(p, cmd_featurize)
     p.add_argument("--cohort", required=True)
     p.add_argument("--n-model", type=int, dest="n_model")
 
     p = sub.add_parser("split", help="stratified train/test split of a matrix")
-    _add_common(p)
+    _add_common(p, cmd_split)
     p.add_argument("--matrix", required=True)
     p.add_argument("--ratio", type=float)
     p.add_argument("--seed", type=int, dest="split_seed")
 
     p = sub.add_parser("balance", help="SMOTE-balance a training matrix")
-    _add_common(p)
+    _add_common(p, cmd_balance)
     p.add_argument("--matrix", required=True)
     p.add_argument("--k", type=int, dest="smote_k")
     p.add_argument("--seed", type=int, dest="smote_seed")
 
     p = sub.add_parser("train", help="train a model on a matrix")
-    _add_common(p)
+    _add_common(p, cmd_train)
     p.add_argument("--matrix", required=True)
     p.add_argument("--val-matrix")
     p.add_argument("--epochs", type=int)
@@ -310,20 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, dest="train_seed")
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a test matrix")
-    _add_common(p)
+    _add_common(p, cmd_evaluate)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--threshold", type=float)
 
     p = sub.add_parser("predict", help="per-record scores from a checkpoint")
-    _add_common(p)
+    _add_common(p, cmd_predict)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--codebook", required=True)
     p.add_argument("--cohort", required=True)
     p.add_argument("--threshold", type=float)
 
     p = sub.add_parser("search", help="random hyperparameter search")
-    _add_common(p)
+    _add_common(p, cmd_search)
     p.add_argument("--matrix", required=True)
     p.add_argument("--space", dest="search_space")
     p.add_argument("--trials", type=int)
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score the configured architecture as a fixed first trial")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common(p)
+    _add_common(p, cmd_gradcheck)
     p.add_argument("--seed", type=int, dest="train_seed")
 
     return parser
@@ -354,26 +355,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "stats":
-            return cmd_stats(cfg, args.cohort, args.out, record_config=args.workdir is not None)
-        if args.command == "featurize":
-            return cmd_featurize(cfg, args.cohort)
-        if args.command == "split":
-            return cmd_split(cfg, args.matrix)
-        if args.command == "balance":
-            return cmd_balance(cfg, args.matrix)
-        if args.command == "train":
-            return cmd_train(cfg, args.matrix, args.val_matrix)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint, args.matrix)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.checkpoint, args.codebook, args.cohort)
-        if args.command == "search":
-            return cmd_search(cfg, args.matrix, args.include_default)
-        return cmd_gradcheck(cfg, record_config=args.workdir is not None)
+        return args.handler(_config_from_args(args), args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

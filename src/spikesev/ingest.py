@@ -97,7 +97,6 @@ class RawMetadataRow:
     clade: str | None = None
     lineage: str | None = None
     collection_date: str | None = None
-    country: str | None = None
 
 
 @dataclass(frozen=True)
@@ -184,16 +183,8 @@ def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence
     return records, rejects
 
 
-def serialize_fasta(records: list[tuple[str, str]], width: int = 60) -> str:
-    out = []
-    for rec_id, seq in records:
-        out.append(f">{rec_id}")
-        out.extend(seq[i : i + width] for i in range(0, len(seq), width))
-    return "\n".join(out) + ("\n" if out else "")
-
-
 # Accepted header spellings per field, matched case-insensitively after
-# trimming. The first named column wins.
+# trimming. The first named column wins; any other column is ignored.
 _HEADER_SYNONYMS = {
     "accession": ("accession", "accession_id", "accession id"),
     "status": ("status", "patient_status", "patient status"),
@@ -202,23 +193,19 @@ _HEADER_SYNONYMS = {
     "clade": ("clade",),
     "lineage": ("lineage", "pango_lineage", "pango lineage"),
     "date": ("date", "collection_date", "collection date"),
-    "country": ("country", "location"),
 }
-_MANDATORY_FIELDS = ("accession", "status", "age", "gender", "clade", "lineage", "date")
 
-
-def _cell(row: list[str], idx: int | None) -> str | None:
-    if idx is None or idx >= len(row):
-        return None
-    value = row[idx].strip()
-    return value or None
+# A tab, or anything `str.splitlines` breaks a line at: such a cell would
+# split its row of the cohort file.
+_LINE_SPLITTING = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def parse_metadata(text: str, delimiter: str) -> list[RawMetadataRow]:
     """Parse delimited metadata with a mandatory header row.
 
     Missing cells become absent optionals; ages that are not plain integers
-    are treated as absent. Duplicate accession ids are an error.
+    are treated as absent. Duplicate accession ids are an error, and so is
+    a read cell that holds a tab or a line break once trimmed.
     """
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
@@ -229,33 +216,42 @@ def parse_metadata(text: str, delimiter: str) -> list[RawMetadataRow]:
     columns: dict[str, int | None] = {}
     for fieldname, synonyms in _HEADER_SYNONYMS.items():
         columns[fieldname] = next((normalized.index(s) for s in synonyms if s in normalized), None)
-    missing = [f for f in _MANDATORY_FIELDS if columns[f] is None]
+    missing = [f for f, idx in columns.items() if idx is None]
     if missing:
         raise MetadataError(f"missing mandatory column(s): {', '.join(missing)}")
 
     rows: list[RawMetadataRow] = []
     seen: set[str] = set()
+    next_line = reader.line_num + 1
     for row in reader:
+        lineno, next_line = next_line, reader.line_num + 1  # a quoted cell may span lines
         if not any(cell.strip() for cell in row):
             continue
-        accession = _cell(row, columns["accession"])
+        cells: dict[str, str | None] = {}
+        for fieldname, idx in columns.items():
+            value = row[idx].strip() if idx < len(row) else ""
+            if _LINE_SPLITTING.search(value):
+                raise MetadataError(
+                    f"line {lineno}, column {header[idx].strip()!r}: tab or line break in {value!r}"
+                )
+            cells[fieldname] = value or None
+        accession = cells["accession"]
         if accession is None:
             raise MetadataError("row with empty accession id")
         if accession in seen:
             raise MetadataError(f"duplicate accession id: {accession}")
         seen.add(accession)
-        age_text = _cell(row, columns["age"])
+        age_text = cells["age"]
         age = int(age_text) if age_text is not None and re.fullmatch(r"\d+", age_text) else None
         rows.append(
             RawMetadataRow(
                 accession_id=accession,
-                status_text=_cell(row, columns["status"]) or "",
+                status_text=cells["status"] or "",
                 age=age,
-                gender=_cell(row, columns["gender"]),
-                clade=_cell(row, columns["clade"]),
-                lineage=_cell(row, columns["lineage"]),
-                collection_date=_cell(row, columns["date"]),
-                country=_cell(row, columns["country"]),
+                gender=cells["gender"],
+                clade=cells["clade"],
+                lineage=cells["lineage"],
+                collection_date=cells["date"],
             )
         )
     return rows

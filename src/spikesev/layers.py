@@ -123,7 +123,14 @@ class LSTMSpec:
         return (self.units,)
 
     def init(self, in_shape, rng, dtype) -> dict:
-        return init_lstm(self, in_shape[-1], rng, dtype)
+        """Fan-in-scaled uniform kernels, zero biases, forget-gate bias +1."""
+        in_channels = in_shape[-1]
+        limit = np.sqrt(1.0 / (in_channels + self.units))
+        w = rng.uniform(-limit, limit, (in_channels, 4 * self.units))
+        u = rng.uniform(-limit, limit, (self.units, 4 * self.units))
+        b = np.zeros(4 * self.units, dtype=dtype)
+        b[self.units : 2 * self.units] = 1.0
+        return {"w": w.astype(dtype), "u": u.astype(dtype), "b": b}
 
     def forward(self, x, params, mask_source):
         return lstm_forward(x, params["w"], params["u"], params["b"])
@@ -388,15 +395,3 @@ def dense_backward(dy: np.ndarray, cache, w: np.ndarray, activation: str):
     dx = dz @ w.T
     return dx, dw, db
 
-
-# ---------------------------------------------------------------------------
-# LSTM parameter initialization (fan-in-scaled uniform kernels, zero biases,
-# forget-gate bias offset +1)
-
-def init_lstm(spec: LSTMSpec, in_channels: int, rng: np.random.Generator, dtype) -> dict:
-    limit = np.sqrt(1.0 / (in_channels + spec.units))
-    w = rng.uniform(-limit, limit, (in_channels, 4 * spec.units))
-    u = rng.uniform(-limit, limit, (spec.units, 4 * spec.units))
-    b = np.zeros(4 * spec.units, dtype=dtype)
-    b[spec.units : 2 * spec.units] = 1.0
-    return {"w": w.astype(dtype), "u": u.astype(dtype), "b": b}

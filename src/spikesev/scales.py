@@ -143,10 +143,6 @@ def load_registry(path: str | Path) -> ScalesRegistry:
     return parse_registry(Path(path).read_text(encoding="utf-8"))
 
 
-def write_registry(reg: ScalesRegistry, path: str | Path) -> None:
-    Path(path).write_text("\n".join(canonical_lines(reg)) + "\n", encoding="utf-8")
-
-
 def default_registry() -> ScalesRegistry:
     text = resources.files("spikesev").joinpath(f"data/{_DEFAULT_RESOURCE}").read_text("utf-8")
     return parse_registry(text)

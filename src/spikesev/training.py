@@ -225,18 +225,41 @@ SearchSpace = dict[str, Choice | Range]
 # `conv{i}_filters` / `dense{i}_units` for element i (1-based) of
 # `conv_filters` / `dense_units`: the index goes before the first underscore.
 _ELEMENT_NAME = re.compile(r"([a-z]+)([1-9][0-9]*)_(\w+)")
-_ARCH_FIELDS = {f.name: isinstance(f.default, tuple) for f in fields(Architecture)}
+_ARCH_DEFAULTS = {f.name: f.default for f in fields(Architecture)}
 
 
 def _architecture_target(name: str) -> tuple[str, int | None]:
     """The `Architecture` field a search name sets, and the 0-based tuple
     element for an indexed name; ValueError for any other name."""
     m = _ELEMENT_NAME.fullmatch(name)
-    if m and _ARCH_FIELDS.get(f"{m[1]}_{m[3]}") is True:
+    if m and isinstance(_ARCH_DEFAULTS.get(f"{m[1]}_{m[3]}"), tuple):
         return f"{m[1]}_{m[3]}", int(m[2]) - 1
-    if _ARCH_FIELDS.get(name) is False:
+    if name in _ARCH_DEFAULTS and not isinstance(_ARCH_DEFAULTS[name], tuple):
         return name, None
     raise ValueError(f"unknown hyperparameter {name!r}")
+
+
+def _value_type(name: str) -> type:
+    """int or float: the type of the stock value a search name replaces
+    (an indexed name takes its tuple's element type, whatever the index)."""
+    if name == "learning_rate":
+        return float
+    field_name, index = _architecture_target(name)
+    default = _ARCH_DEFAULTS[field_name]
+    return type(default if index is None else default[0])
+
+
+def _number(token: str, value_type: type) -> int | float:
+    """`token` as a finite `value_type`; ValueError naming it otherwise."""
+    try:
+        value = value_type(token)
+    except ValueError:
+        if value_type is int:
+            raise ValueError(f"expected a whole number, got {token!r}") from None
+        raise
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {token!r}")
+    return value
 
 
 def default_search_space() -> SearchSpace:
@@ -257,18 +280,10 @@ def default_search_space() -> SearchSpace:
 
 def parse_search_space(text: str) -> SearchSpace:
     """One domain per line: `name\tchoice\tv1\tv2...` or
-    `name\t{linear|log|int}\tlow\thigh`. A malformed line, or a name
-    given twice, raises a ValueError naming the line."""
-
-    def coerce(token: str):
-        try:
-            return int(token)
-        except ValueError:
-            try:
-                return float(token)
-            except ValueError:
-                return token
-
+    `name\t{linear|log|int}\tlow\thigh`. Values take the type of the
+    field they set: integer fields take whole-number choices or an int
+    range, `dropout_rate` and `learning_rate` finite numbers. A malformed
+    line, or a name given twice, raises a ValueError naming the line."""
     space: SearchSpace = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -281,18 +296,19 @@ def parse_search_space(text: str) -> SearchSpace:
             name, kind, *args = parts
             if name in space:
                 raise ValueError(f"repeated name {name!r}")
-            if kind == "choice":
-                space[name] = Choice(tuple(coerce(a) for a in args))
-            elif kind not in ("linear", "log", "int"):
+            if kind not in ("choice", "linear", "log", "int"):
                 raise ValueError(f"unknown domain kind {kind!r}")
+            value_type = _value_type(name)
+            if kind == "choice":
+                space[name] = Choice(tuple(_number(a, value_type) for a in args))
+            elif value_type is int and kind != "int":
+                raise ValueError(f"{name} takes whole numbers: use a choice or an int range, not {kind}")
             elif len(args) != 2:
                 raise ValueError(f"{kind} range needs 2 bounds, got {len(args)}")
             elif kind == "int":
-                space[name] = Range(float(args[0]), float(args[1]), integer=True)
+                space[name] = Range(_number(args[0], int), _number(args[1], int), integer=True)
             else:
-                space[name] = Range(float(args[0]), float(args[1]), scale=kind)
-            if name != "learning_rate":
-                _architecture_target(name)
+                space[name] = Range(_number(args[0], float), _number(args[1], float), scale=kind)
         except ValueError as exc:
             raise ValueError(f"search space line {lineno}: {exc}") from None
     if not space:
@@ -308,7 +324,7 @@ def specs_from_hyperparams(hp: dict, base: Architecture) -> list[LayerSpec]:
     """`base` with every architecture value in `hp` put in; an indexed
     name replaces that element of base's tuple. ValueError for an index
     base's stack does not have."""
-    values = {name: getattr(base, name) for name in _ARCH_FIELDS}
+    values = {name: getattr(base, name) for name in _ARCH_DEFAULTS}
     for name, value in hp.items():
         if name == "learning_rate":
             continue

@@ -405,6 +405,56 @@ class TestExitCodes:
         assert "search space line 1: linear range needs 2 bounds, got 1" in capsys.readouterr().err
         assert not (tmp_path / "w" / "trials.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("kernel_size\tchoice\tabc", "expected a whole number, got 'abc'"),
+            ("conv1_filters\tchoice\t1.5", "expected a whole number, got '1.5'"),
+            ("lstm_units\tchoice\t2.5", "expected a whole number, got '2.5'"),
+            ("lstm_units\tlinear\t16\t96", "lstm_units takes whole numbers: use a choice or an int range, not linear"),
+            ("dropout_rate\tchoice\tx", "could not convert string to float: 'x'"),
+            ("learning_rate\tchoice\tabc", "could not convert string to float: 'abc'"),
+        ],
+        ids=["kernel-word", "filters-fraction", "units-fraction", "units-linear", "dropout-word", "rate-word"],
+    )
+    def test_search_value_of_the_wrong_type_is_input_error(self, tmp_path, line, message, capsys):
+        dataset.write_matrix(dataset.FeatureMatrix(*separable_blobs(n=20, length=64, seed=1), ["-"] * 20),
+                             tmp_path / "x.mat")
+        space = tmp_path / "space.tsv"
+        space.write_text(f"# comment\n{line}\n")
+        code = main(["search", "--matrix", str(tmp_path / "x.mat"), "--space", str(space),
+                     "--trials", "1", "--k", "2", "--epochs", "1", "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert f"error: search space line 2: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "w" / "trials.tsv").exists()
+
+    @pytest.mark.parametrize("clade", ["G\tR", "G\nR"], ids=["tab", "line-feed"])
+    def test_metadata_cell_the_cohort_cannot_hold_is_input_error(self, tmp_path, clade, capsys):
+        fasta = tmp_path / "spike.fasta"
+        meta = tmp_path / "meta.csv"
+        fasta.write_text(">A1\nMKVLL\n")
+        meta.write_text(f'accession,status,age,gender,clade,lineage,date\nA1,Mild,40,male,"{clade}",B.1,2021-01-02\n')
+        code = main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert "error: line 2, column 'clade': tab or line break in " in capsys.readouterr().err
+        assert not (tmp_path / "w" / "cohort.tsv").exists()
+
+    @pytest.mark.parametrize("column", ["country", "location"])
+    def test_extra_metadata_column_changes_no_ingest_byte(self, tmp_path, fixture_files, column, capsys):
+        fasta, meta, _ = fixture_files
+        lines = meta.read_text().splitlines()
+        with_column = tmp_path / "with_column.tsv"
+        with_column.write_text("".join(
+            f"{head}\t{column if n == 0 else f'Region {n}'}\t{tail}\n"
+            for n, (head, tail) in enumerate(line.split("\t", 1) for line in lines)
+        ))
+        for name, path in (("plain", meta), ("extra", with_column)):
+            assert main(["ingest", "--fasta", str(fasta), "--metadata", str(path),
+                         "--workdir", str(tmp_path / name)]) == 0
+        for output in ("cohort.tsv", "exclusion_report.tsv"):
+            assert (tmp_path / "extra" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
+        capsys.readouterr()
+
 
 class TestGradcheckCommand:
     def test_exit_zero_and_per_tensor_lines(self, capsys):
@@ -659,6 +709,14 @@ def test_config_flags_reach_the_resolved_config(tmp_path, fixture_files, capsys)
             value = action.type(raw) if action.type else raw
             assert resolved[action.dest] == str(value), (command, given[0])
     capsys.readouterr()
+
+
+def test_every_subcommand_binds_a_handler():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for command, parser in subparsers.items():
+        assert callable(parser.get_default("handler")), command
 
 
 def test_readme_configuration_table_lists_every_config_key():

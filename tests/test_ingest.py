@@ -26,7 +26,6 @@ from spikesev.ingest import (
     parse_fasta,
     parse_metadata,
     read_cohort,
-    serialize_fasta,
     write_cohort,
 )
 from spikesev.scales import AMINO_ACIDS
@@ -94,7 +93,11 @@ class TestParseFasta:
         )
     )
     def test_round_trip_identity(self, records):
-        parsed, rejects = parse_fasta(serialize_fasta(records))
+        text = "".join(
+            f">{rec_id}\n" + "".join(seq[i : i + 60] + "\n" for i in range(0, len(seq), 60))
+            for rec_id, seq in records
+        )
+        parsed, rejects = parse_fasta(text)
         assert rejects == []
         assert parsed == records
 
@@ -107,7 +110,7 @@ class TestParseMetadata:
         text = META_HEADER + "\nEPI1\tMild\t54\tmale\tGR\tP.1\t2021-03-05\n"
         rows = parse_metadata(text, "\t")
         assert rows == [
-            RawMetadataRow("EPI1", "Mild", 54, "male", "GR", "P.1", "2021-03-05", None)
+            RawMetadataRow("EPI1", "Mild", 54, "male", "GR", "P.1", "2021-03-05")
         ]
 
     def test_empty_age_cell_maps_to_absent(self):
@@ -141,6 +144,67 @@ class TestParseMetadata:
         assert row.accession_id == "EPI1"
         assert row.lineage == "P.1"
         assert row.collection_date == "2021-03-05"
+
+    @pytest.mark.parametrize("column", ["country", "Location", "continent"])
+    def test_extra_column_is_ignored(self, column):
+        plain = META_HEADER + "\nEPI1\tMild\t54\tmale\tGR\tP.1\t2021-03-05\n"
+        extra = f"accession\t{column}\tstatus\tage\tgender\tclade\tlineage\tdate\n" \
+                "EPI1\tBrazil\tMild\t54\tmale\tGR\tP.1\t2021-03-05\n"
+        assert parse_metadata(extra, "\t") == parse_metadata(plain, "\t")
+
+    # Every character `str.splitlines` breaks a line at, and the tab.
+    LINE_SPLITTING = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    def test_line_splitting_set_is_what_splitlines_splits_on(self):
+        breaks = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) > 1}
+        assert breaks | {"\t"} == set(self.LINE_SPLITTING)
+
+    @staticmethod
+    def _with_second_row(column, value):
+        cells = dict(accession="A1", status="Mild", age="40", gender="male", clade="GR",
+                     lineage="B.1", date="2021-01-02")
+        cells[column] = value
+        return (
+            "accession,status,age,gender,clade,lineage,date\n"
+            "A0,Mild,40,male,GR,B.1,2021-01-02\n" + ",".join(f'"{v}"' for v in cells.values()) + "\n"
+        )
+
+    @pytest.mark.parametrize("char", LINE_SPLITTING, ids=[hex(ord(c)) for c in LINE_SPLITTING])
+    def test_cell_with_a_line_break_is_refused_with_line_and_column(self, char):
+        with pytest.raises(MetadataError, match="line 3, column 'clade': tab or line break"):
+            parse_metadata(self._with_second_row("clade", f"G{char}R"), ",")
+
+    @pytest.mark.parametrize("column", ["accession", "status", "age", "gender", "clade", "lineage", "date"])
+    def test_every_read_column_is_checked(self, column):
+        with pytest.raises(MetadataError, match=f"line 3, column '{column}'"):
+            parse_metadata(self._with_second_row(column, "a\tb"), ",")
+
+    def test_tab_in_accession_refused(self):
+        text = 'Accession ID,status,age,gender,clade,lineage,date\n"A\t1",Mild,40,male,GR,B.1,2021-01-02\n'
+        with pytest.raises(MetadataError, match="line 2, column 'Accession ID': tab or line break"):
+            parse_metadata(text, ",")
+
+    def test_lineage_with_line_separator_refused(self):
+        text = META_HEADER + "\nEPI1\tMild\t54\tmale\tGR\tB.1\u2028P.1\t2021-03-05\n"
+        with pytest.raises(MetadataError, match="line 2, column 'lineage'"):
+            parse_metadata(text, "\t")
+
+    def test_line_of_a_row_after_a_multi_line_cell(self):
+        text = (
+            "accession,status,age,gender,clade,lineage,date\n"
+            'A0,"Mild\n",40,male,GR,B.1,2021-01-02\n'
+            'A1,Mild,40,male,"G\nR",B.1,2021-01-02\n'
+        )
+        with pytest.raises(MetadataError, match="line 4, column 'clade'"):
+            parse_metadata(text, ",")
+
+    def test_line_break_outside_trimmed_cell_is_kept(self):
+        text = 'accession,status,age,gender,clade,lineage,date\nA1,Mild,40,male,"GR\t\n",B.1,2021-01-02\n'
+        assert parse_metadata(text, ",")[0].clade == "GR"
+
+    def test_unread_column_may_hold_a_tab(self):
+        text = 'accession,status,age,gender,clade,lineage,date,note\nA1,Mild,40,male,GR,B.1,2021-01-02,"a\tb"\n'
+        assert parse_metadata(text, ",")[0].clade == "GR"
 
 
 class TestNormalizeStatus:
@@ -190,7 +254,7 @@ class TestNormalizeStatus:
 
 def _row(accession="EPI1", status="Mild", age=54, gender="male", clade="GR",
          lineage="P.1", date="2021-03-05"):
-    return RawMetadataRow(accession, status, age, gender, clade, lineage, date, None)
+    return RawMetadataRow(accession, status, age, gender, clade, lineage, date)
 
 
 class TestBuildCohort:

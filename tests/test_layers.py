@@ -17,7 +17,6 @@ from spikesev.layers import (
     dense_forward,
     dropout_backward,
     dropout_forward,
-    init_lstm,
     lstm_backward,
     lstm_forward,
     maxpool1d_backward,
@@ -178,12 +177,12 @@ class TestLSTM:
         assert h[0, 0] == pytest.approx(h_t, rel=1e-12)
 
     def test_parameter_count_formula(self):
-        params = init_lstm(LSTMSpec(64), 24, np.random.default_rng(0), np.float64)
+        params = LSTMSpec(64).init((10, 24), np.random.default_rng(0), np.float64)
         total = sum(p.size for p in params.values())
         assert total == 4 * ((24 + 64) * 64 + 64) == 22784
 
     def test_forget_gate_bias_offset(self):
-        params = init_lstm(LSTMSpec(3), 2, np.random.default_rng(0), np.float32)
+        params = LSTMSpec(3).init((10, 2), np.random.default_rng(0), np.float32)
         assert params["b"][3:6].tolist() == [1.0, 1.0, 1.0]
         assert params["b"][:3].tolist() == [0.0, 0.0, 0.0]
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,32 @@ class TestSearchSpaceParsing:
 
     def test_stock_defaults_build_the_default_stack(self):
         assert specs_from_hyperparams({}, Architecture()) == default_architecture()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("kernel_size\tchoice\tabc", "expected a whole number, got 'abc'"),
+            ("conv1_filters\tchoice\t64\t1.5", "expected a whole number, got '1.5'"),
+            ("dense5_units\tchoice\t2.5", "expected a whole number, got '2.5'"),
+            ("pool_size\tlog\t2\t4", "pool_size takes whole numbers: use a choice or an int range, not log"),
+            ("lstm_units\tint\t16\t96.5", "expected a whole number, got '96.5'"),
+            ("learning_rate\tchoice\tnan", "expected a finite number, got 'nan'"),
+            ("dropout_rate\tlinear\t0\tinf", "expected a finite number, got 'inf'"),
+        ],
+        ids=["word", "fraction", "index-past-stock", "log-on-int", "fractional-int-bound", "nan", "inf"],
+    )
+    def test_value_of_the_wrong_type_refused_with_its_line(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(f"search space line 2: {message}")):
+            parse_search_space(f"# comment\n{line}\n")
+
+    def test_values_take_the_type_of_their_field(self):
+        space = parse_search_space(
+            "dropout_rate\tchoice\t0\t0.1\nlearning_rate\tchoice\t1\nconv3_filters\tchoice\t8\t16\n"
+        )
+        assert [type(v) for v in space["dropout_rate"].values] == [float, float]
+        assert [type(v) for v in space["learning_rate"].values] == [float]
+        assert space["conv3_filters"] == Choice((8, 16))
+        assert [type(v) for v in space["conv3_filters"].values] == [int, int]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown hyperparameter 'kernal_size'"):
