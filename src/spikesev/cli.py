@@ -82,7 +82,9 @@ def _arch_from_config(cfg: RunConfig) -> Architecture:
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
     fasta_text = Path(cfg.fasta).read_text(encoding="utf-8")
-    meta_text = Path(cfg.metadata).read_text(encoding="utf-8")
+    # newline="": a line break inside a cell reaches `csv`, which rules on it.
+    with open(cfg.metadata, encoding="utf-8", newline="") as fh:
+        meta_text = fh.read()
     delimiter = _detect_delimiter(cfg, cfg.metadata, meta_text)
     fasta_records, rejects = ingest.parse_fasta(fasta_text)
     rows = ingest.parse_metadata(meta_text, delimiter)
@@ -131,12 +133,11 @@ def cmd_featurize(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
-    m = dataset.read_matrix(args.matrix)
-    train_idx, test_idx = dataset.split_indices(m.y, cfg.ratio, cfg.split_seed)
-    for name, idx in (("train", train_idx), ("test", test_idx)):
-        dataset.write_rows(m, idx, wd / f"{name}.mat")
+    train_idx, test_idx = dataset.write_split(
+        args.matrix, cfg.ratio, cfg.split_seed, wd / "train.mat", wd / "test.mat"
+    )
     _write_resolved(cfg, wd, "split")
-    print(f"split {len(m)} rows into {len(train_idx)} train / {len(test_idx)} test")
+    print(f"split {len(train_idx) + len(test_idx)} rows into {len(train_idx)} train / {len(test_idx)} test")
     return EXIT_OK
 
 

@@ -11,7 +11,9 @@ import os
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -29,7 +31,7 @@ COVARIATE_FIELDS = ("gender", "age", "clade", "lineage")
 MATRIX_MAGIC = b"SSEVMAT1"
 
 # Bytes of the one reused row block through which `write_features` and
-# `write_rows` stream a matrix to disk.
+# `write_split` stream a matrix to disk.
 MATRIX_BLOCK_BYTES = 16 << 20
 
 
@@ -371,41 +373,73 @@ def write_matrix_blocks(
     path.with_suffix(".ids").write_text("".join(f"{a}\n" for a in ids), encoding="utf-8")
 
 
-def write_rows(m: FeatureMatrix, idx: np.ndarray, path: str | Path) -> None:
-    """`write_matrix(m.take(idx), path)`, with the rows copied one reused
-    block at a time; every index must lie in [0, len(m))."""
-
-    def fill(part: np.ndarray, start: int) -> None:
-        # "clip" spares take's buffered copy of `out`; no index needs it.
-        np.take(m.x, idx[start : start + len(part)], axis=0, out=part, mode="clip")
-
-    blocks = _row_blocks(len(idx), m.x.shape[1], fill)
-    write_matrix_blocks(path, m.x.shape[1], blocks, m.y[idx], [m.ids[i] for i in idx])
-
-
-def read_matrix(path: str | Path) -> FeatureMatrix:
-    """The matrix at `path` with the accessions of its `.ids` sidecar; all
-    "-" if there is none. A sidecar of another row count is refused."""
+def _open_matrix(fh: BinaryIO, path: str | Path) -> tuple[int, np.ndarray, list[str]]:
+    """The column count, labels and accessions of the matrix file open as
+    `fh`, after checking all of it but the payload, which is left unread
+    with `fh` at its start: the magic and header, the exact file size, a
+    label byte other than 0 or 1 and a `.ids` sidecar of another row count
+    are refused. The accessions are all "-" if there is no sidecar."""
     path = Path(path)
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        header = fh.read(len(MATRIX_MAGIC) + 8)
-        if len(header) < len(MATRIX_MAGIC) + 8:
-            raise MatrixFormatError(f"{path}: truncated header")
-        if header[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
-            raise MatrixFormatError(f"{path}: bad magic, not a feature matrix file")
-        rows, cols = struct.unpack_from("<II", header, len(MATRIX_MAGIC))
-        expected = len(header) + rows * cols * 4 + rows
-        if size < expected:
-            raise MatrixFormatError(f"{path}: truncated payload (expected {expected} bytes, got {size})")
-        if size > expected:
-            raise MatrixFormatError(f"{path}: payload size inconsistent with header dimensions")
-        x = np.fromfile(fh, dtype="<f4", count=rows * cols).reshape(rows, cols)
-        y = np.fromfile(fh, dtype=np.uint8, count=rows)
+    header_bytes = len(MATRIX_MAGIC) + 8
+    header = fh.read(header_bytes)
+    if len(header) < header_bytes:
+        raise MatrixFormatError(f"{path}: truncated header")
+    if header[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
+        raise MatrixFormatError(f"{path}: bad magic, not a feature matrix file")
+    rows, cols = struct.unpack_from("<II", header, len(MATRIX_MAGIC))
+    size = os.fstat(fh.fileno()).st_size
+    expected = header_bytes + rows * cols * 4 + rows
+    if size < expected:
+        raise MatrixFormatError(f"{path}: truncated payload (expected {expected} bytes, got {size})")
+    if size > expected:
+        raise MatrixFormatError(f"{path}: payload size inconsistent with header dimensions")
+    fh.seek(expected - rows)
+    y = np.fromfile(fh, dtype=np.uint8, count=rows)
     if (y > 1).any():
         raise MatrixFormatError(f"{path}: labels must be 0 (severe) or 1 (mild)")
     ids_path = path.with_suffix(".ids")
     ids = ids_path.read_text(encoding="utf-8").splitlines() if ids_path.exists() else ["-"] * rows
     if len(ids) != rows:
         raise MatrixFormatError(f"{ids_path}: {len(ids)} accessions for {rows} matrix rows")
+    fh.seek(header_bytes)
+    return cols, y, ids
+
+
+def read_matrix(path: str | Path) -> FeatureMatrix:
+    """The matrix at `path` with the accessions of its `.ids` sidecar; all
+    "-" if there is none. A sidecar of another row count is refused."""
+    with open(path, "rb") as fh:
+        cols, y, ids = _open_matrix(fh, path)
+        x = np.fromfile(fh, dtype="<f4", count=len(y) * cols).reshape(len(y), cols)
     return FeatureMatrix(x, y, ids)
+
+
+def write_split(
+    path: str | Path, ratio: float, seed: int, train_path: str | Path, test_path: str | Path
+) -> tuple[np.ndarray, np.ndarray]:
+    """`write_matrix` of each part of `stratified_split(read_matrix(path),
+    ratio, seed)` to `train_path` and `test_path`; return the parts' row
+    indices. Each part's rows are read by offset from the file at `path`
+    into one reused block, so the matrix is never held, and every check of
+    the input is made before a part is written. The file stays open, so
+    `train_path` may be `path` itself."""
+    with open(path, "rb") as fh:
+        cols, y, ids = _open_matrix(fh, path)
+        payload, row_bytes = fh.tell(), 4 * cols
+
+        def fill(idx: np.ndarray, part: np.ndarray, start: int) -> None:
+            # The rows at idx[start:], one positioned read per run of
+            # consecutive rows, straight into `part`.
+            rows = idx[start : start + len(part)]
+            breaks = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
+            for a, b in zip(breaks, breaks[1:]):
+                offset = payload + int(rows[a]) * row_bytes
+                got = os.preadv(fh.fileno(), [part[a:b]], offset)
+                if got != (b - a) * row_bytes:
+                    raise MatrixFormatError(f"{path}: short read of {got} bytes at offset {offset}")
+
+        parts = split_indices(y, ratio, seed)
+        for idx, out in zip(parts, (train_path, test_path)):
+            blocks = _row_blocks(len(idx), cols, partial(fill, idx))
+            write_matrix_blocks(out, cols, blocks, y[idx], [ids[i] for i in idx])
+    return parts

@@ -13,6 +13,7 @@ import io
 import re
 import string
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -200,16 +201,29 @@ _HEADER_SYNONYMS = {
 _LINE_SPLITTING = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
+def _csv_rows(reader) -> Iterator[list[str]]:
+    """The rows of the `csv.reader` `reader`; text it cannot split into
+    rows, such as a bare carriage return in an unquoted cell, raises
+    MetadataError with its line."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        reason = str(err).split(" - ")[0]  # csv's advice to reopen the file does not apply
+        raise MetadataError(f"line {reader.line_num}: {reason}") from None
+
+
 def parse_metadata(text: str, delimiter: str) -> list[RawMetadataRow]:
     """Parse delimited metadata with a mandatory header row.
 
     Missing cells become absent optionals; ages that are not plain integers
     are treated as absent. Duplicate accession ids are an error, and so is
-    a read cell that holds a tab or a line break once trimmed.
+    a read cell that holds a tab or a line break once trimmed, and a line
+    break in an unquoted cell other than at the end of a line.
     """
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    records = _csv_rows(reader)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise MetadataError("empty metadata input") from None
     normalized = [h.strip().casefold() for h in header]
@@ -223,7 +237,7 @@ def parse_metadata(text: str, delimiter: str) -> list[RawMetadataRow]:
     rows: list[RawMetadataRow] = []
     seen: set[str] = set()
     next_line = reader.line_num + 1
-    for row in reader:
+    for row in records:
         lineno, next_line = next_line, reader.line_num + 1  # a quoted cell may span lines
         if not any(cell.strip() for cell in row):
             continue

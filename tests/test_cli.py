@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import hashlib
+import os
 import re
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -439,6 +441,29 @@ class TestExitCodes:
         assert "error: line 2, column 'clade': tab or line break in " in capsys.readouterr().err
         assert not (tmp_path / "w" / "cohort.tsv").exists()
 
+    def test_bare_carriage_return_in_metadata_is_input_error(self, tmp_path, capsys):
+        """A bare CR in an unquoted cell reaches `csv` as it is, not as a line
+        break that splits the row in two."""
+        fasta = tmp_path / "spike.fasta"
+        meta = tmp_path / "meta.csv"
+        fasta.write_text(">A1\nMKVLL\n")
+        meta.write_bytes(b"accession,status,age,gender,clade,lineage,date\nA1,Mild,40,male,G\rR,B.1,2021-01-02\n")
+        code = main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2: new-line character seen in unquoted field\n"
+        assert not (tmp_path / "w" / "cohort.tsv").exists()
+
+    def test_crlf_metadata_changes_no_ingest_byte(self, tmp_path, fixture_files, capsys):
+        fasta, meta, _ = fixture_files
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(meta.read_bytes().replace(b"\n", b"\r\n"))
+        for name, path in (("lf", meta), ("crlf", crlf)):
+            assert main(["ingest", "--fasta", str(fasta), "--metadata", str(path),
+                         "--workdir", str(tmp_path / name)]) == 0
+        for output in ("cohort.tsv", "exclusion_report.tsv"):
+            assert (tmp_path / "crlf" / output).read_bytes() == (tmp_path / "lf" / output).read_bytes()
+        capsys.readouterr()
+
     @pytest.mark.parametrize("column", ["country", "location"])
     def test_extra_metadata_column_changes_no_ingest_byte(self, tmp_path, fixture_files, column, capsys):
         fasta, meta, _ = fixture_files
@@ -661,6 +686,127 @@ def test_split_writes_its_parts_in_row_blocks(tmp_path, monkeypatch, capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak <= 1.15 * matrix_bytes, (peak, matrix_bytes)
+    capsys.readouterr()
+
+
+def _blob_matrix(path: Path, n: int, length: int) -> None:
+    x, y = separable_blobs(n=n, length=length)
+    dataset.write_matrix(dataset.FeatureMatrix(x, y, [f"r{i}" for i in range(n)]), path)
+
+
+def _split_argv(matrix: Path, wd: Path) -> list[str]:
+    return ["split", "--matrix", str(matrix), "--workdir", str(wd), "--ratio", "0.8", "--seed", "3"]
+
+
+def test_split_streams_the_bytes_of_each_part(tmp_path, monkeypatch, capsys):
+    """Blocks of 3 rows, the last one partial in each part, write the bytes
+    `write_matrix(read_matrix(src).take(idx))` writes."""
+    _blob_matrix(tmp_path / "features.mat", 60, 64)
+    monkeypatch.setattr(dataset, "MATRIX_BLOCK_BYTES", 3 * 4 * 64)
+    assert main(_split_argv(tmp_path / "features.mat", tmp_path / "w")) == 0
+    whole = dataset.read_matrix(tmp_path / "features.mat")
+    parts = dataset.split_indices(whole.y, 0.8, 3)
+    assert all(len(idx) % 3 for idx in parts)
+    for name, idx in zip(("train", "test"), parts):
+        dataset.write_matrix(whole.take(idx), tmp_path / f"{name}.mat")
+        for suffix in (".mat", ".ids"):
+            assert (tmp_path / "w" / f"{name}{suffix}").read_bytes() == (tmp_path / f"{name}{suffix}").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("rows", [200, 800])
+def test_split_holds_one_block_whatever_the_matrix_size(tmp_path, monkeypatch, capsys, rows):
+    """The traced peak stays under two row blocks plus 1 MiB at 3.2 MB and
+    12.8 MB of matrix; the matrix is never held."""
+    _blob_matrix(tmp_path / "features.mat", rows, 4000)
+    block = 256 << 10
+    monkeypatch.setattr(dataset, "MATRIX_BLOCK_BYTES", block)
+    tracemalloc.start()
+    try:
+        code = main(_split_argv(tmp_path / "features.mat", tmp_path / "w"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (tmp_path / "features.mat").stat().st_size > 12 * block
+    assert peak < 2 * block + (1 << 20), peak
+    capsys.readouterr()
+
+
+def _corrupt_magic(path: Path) -> None:
+    path.write_bytes(b"X" + path.read_bytes()[1:])
+
+
+def _truncate_payload(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def _label_two(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-1] + b"\x02")
+
+
+def _drop_an_accession(path: Path) -> None:
+    ids = path.with_suffix(".ids")
+    ids.write_text("".join(ids.read_text().splitlines(keepends=True)[:-1]))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_corrupt_magic, "bad magic"),
+    (_truncate_payload, "truncated payload"),
+    (_label_two, "labels must be 0 (severe) or 1 (mild)"),
+    (_drop_an_accession, "59 accessions for 60 matrix rows"),
+], ids=["magic", "truncated", "label-2", "ids-row-count"])
+def test_split_refuses_bad_input_before_writing_a_part(tmp_path, capsys, corrupt, message):
+    """Exit 2 with no new train.*, test.* or .tmp file, in a new workdir and
+    in one that holds the parts of an earlier split, which stay as they were."""
+    src = tmp_path / "in" / "features.mat"
+    src.parent.mkdir()
+    _blob_matrix(src, 60, 32)
+    earlier = tmp_path / "earlier"
+    assert main(_split_argv(src, earlier)) == 0
+    before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    corrupt(src)
+    capsys.readouterr()
+    for wd in (tmp_path / "new", earlier):
+        assert main(_split_argv(src, wd)) == 2
+        assert message in capsys.readouterr().err
+    assert list((tmp_path / "new").iterdir()) == []
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+
+
+def test_split_refuses_a_short_read(tmp_path, monkeypatch):
+    """A matrix cut to 10 rows after its checks passed: the read of the
+    first part comes back short, and nothing is written."""
+    src = tmp_path / "features.mat"
+    _blob_matrix(src, 60, 32)
+    split_indices = dataset.split_indices
+
+    def cut_then_split(y, ratio, seed):
+        os.truncate(src, len(dataset.MATRIX_MAGIC) + 8 + 10 * 32 * 4)
+        return split_indices(y, ratio, seed)
+
+    monkeypatch.setattr(dataset, "split_indices", cut_then_split)
+    with pytest.raises(dataset.MatrixFormatError, match="short read"):
+        dataset.write_split(src, 0.8, 3, tmp_path / "train.mat", tmp_path / "test.mat")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.ids", "features.mat"]
+
+
+def test_split_may_overwrite_its_own_input(tmp_path, monkeypatch, capsys):
+    """`split --matrix <wd>/train.mat --workdir <wd>` writes the bytes a split
+    of a copy writes: the test part is read from the open input after
+    train.mat was replaced."""
+    _blob_matrix(tmp_path / "features.mat", 80, 32)
+    wd = tmp_path / "w"
+    assert main(_split_argv(tmp_path / "features.mat", wd)) == 0
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for suffix in (".mat", ".ids"):
+        shutil.copy(wd / f"train{suffix}", copy / f"train{suffix}")
+    monkeypatch.setattr(dataset, "MATRIX_BLOCK_BYTES", 3 * 4 * 32)
+    assert main(_split_argv(wd / "train.mat", wd)) == 0
+    assert main(_split_argv(copy / "train.mat", tmp_path / "from_copy")) == 0
+    for name in ("train.mat", "train.ids", "test.mat", "test.ids"):
+        assert (wd / name).read_bytes() == (tmp_path / "from_copy" / name).read_bytes()
     capsys.readouterr()
 
 

@@ -22,7 +22,6 @@ from spikesev.dataset import (
     to_arrays,
     write_features,
     write_matrix,
-    write_rows,
 )
 from spikesev.ingest import Severity, SpikeRecord, build_cohort, parse_fasta, parse_metadata
 from spikesev.scales import AMINO_ACIDS, default_registry

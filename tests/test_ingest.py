@@ -206,6 +206,25 @@ class TestParseMetadata:
         text = 'accession,status,age,gender,clade,lineage,date,note\nA1,Mild,40,male,GR,B.1,2021-01-02,"a\tb"\n'
         assert parse_metadata(text, ",")[0].clade == "GR"
 
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_crlf_line_ends_parse_as_lf(self, delimiter):
+        rows = [META_HEADER, "EPI1\tMild\t54\tmale\tGR\tP.1\t2021-03-05", "EPI2\tDEAD\t60\tfemale\tGH\tB.1\t2021-03-06"]
+        lines = [row.replace("\t", delimiter) for row in rows]
+        crlf = parse_metadata("".join(f"{line}\r\n" for line in lines), delimiter)
+        assert crlf == parse_metadata("".join(f"{line}\n" for line in lines), delimiter)
+        assert [r.accession_id for r in crlf] == ["EPI1", "EPI2"]
+
+    @pytest.mark.parametrize("text", [
+        "accession,status,age,gender,clade,lineage,date\nA1,Mild,40,male,G\rR,B.1,2021-01-02\n",
+        "accession,status,age,gender,clade,lineage,date\nA0,Mild,40,male,GR,B.1,2021-01-02\n"
+        "A1,Mild,40,male,GR,B.1,2021-01-02,\rnote\n",
+        "accession,status,age,gender\rclade,lineage,date\nA1,Mild,40,male,GR,B.1,2021-01-02\n",
+    ], ids=["read-cell", "unread-cell", "header"])
+    def test_bare_carriage_return_in_an_unquoted_cell_is_refused_with_its_line(self, text):
+        line = text.split("\r")[0].count("\n") + 1
+        with pytest.raises(MetadataError, match=f"^line {line}: new-line character seen in unquoted field$"):
+            parse_metadata(text, ",")
+
 
 class TestNormalizeStatus:
     @pytest.mark.parametrize("term", ["DEAD", "Deceased", "Intensive Care Unit"])
