@@ -2,8 +2,10 @@
 
 Layout: magic, format version, an architecture JSON block (input length,
 seed, layer stack), the registry content hash, the parameter tensors
-(shape + little-endian 32-bit floats), then optionally the Adam state.
-Round trips are bit-exact.
+(shape + little-endian 32-bit floats), then optionally the Adam state
+(learning rate, beta1, beta2, epsilon, step, both moments). The saved beta1,
+beta2 and epsilon must equal the network module's constants. Round trips
+are bit-exact.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .layers import LAYER_KINDS, LayerSpec, ShapeError
-from .network import AdamState, Network
+from .network import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, Network
 
 CHECKPOINT_MAGIC = b"SSEVCKPT"
 CHECKPOINT_VERSION = 1
@@ -25,10 +27,6 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(ValueError):
     pass
-
-
-def spec_to_dict(spec: LayerSpec) -> dict:
-    return {"type": spec.kind, **asdict(spec)}
 
 
 def spec_from_dict(d: dict, path) -> LayerSpec:
@@ -149,7 +147,7 @@ def save_checkpoint(
     arch = {
         "input_length": network.input_length,
         "seed": network.seed,
-        "layers": [spec_to_dict(s) for s in network.specs],
+        "layers": [{"type": s.kind, **asdict(s)} for s in network.specs],
     }
     arch_json = json.dumps(arch, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = list(_tensor_items(network.params))
@@ -169,9 +167,9 @@ def save_checkpoint(
                 struct.pack(
                     "<ddddQ",
                     optimizer.learning_rate,
-                    optimizer.beta1,
-                    optimizer.beta2,
-                    optimizer.epsilon,
+                    ADAM_BETA1,
+                    ADAM_BETA2,
+                    ADAM_EPSILON,
                     optimizer.step,
                 )
             )
@@ -219,11 +217,13 @@ def load_checkpoint(
     optimizer = None
     if has_optimizer:
         lr, b1, b2, eps, step = struct.unpack("<ddddQ", reader.take(40))
+        if (b1, b2, eps) != (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON):
+            raise CheckpointError(
+                f"{path}: optimizer beta1={b1!r}, beta2={b2!r}, epsilon={eps!r}; this program "
+                f"only runs Adam with {ADAM_BETA1!r}, {ADAM_BETA2!r}, {ADAM_EPSILON!r}"
+            )
         optimizer = AdamState(
             learning_rate=lr,
-            beta1=b1,
-            beta2=b2,
-            epsilon=eps,
             step=step,
             m=network.zero_like_params(),
             v=network.zero_like_params(),

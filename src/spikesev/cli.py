@@ -23,8 +23,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-# Every loader's own error (ConfigError, MatrixFormatError, ...) is a ValueError.
-_INPUT_ERRORS = (ValueError, FileNotFoundError)
+# Every loader's own error (ConfigError, MatrixFormatError, ...) is a ValueError;
+# OSError covers a path that is missing, a directory, or not a directory.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _load_registry(cfg: RunConfig) -> ScalesRegistry:
@@ -182,7 +183,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(
             f"matrix width {m.x.shape[1]} does not match checkpoint input length {net.input_length}"
         )
-    report = evaluation.evaluate(net, m.x, m.y, cfg.threshold)
+    report = evaluation.evaluate_scores(m.y, net.predict_scores(m.x), cfg.threshold)
     header = f"# registry_hash {registry.content_hash}\n"
     (wd / "report.tsv").write_text(header + evaluation.report_tsv(report), encoding="utf-8")
     (wd / "confusion.tsv").write_text(report.confusion.to_tsv(), encoding="utf-8")

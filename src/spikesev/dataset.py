@@ -58,11 +58,8 @@ class CovariateCodebook:
     def width(self) -> int:
         return sum(len(v) for v in self.categories.values())
 
-    def to_text(self, registry_hash: str | None = None) -> str:
-        lines = ["# covariate codebook v1"]
-        if registry_hash:
-            lines.append(f"# registry_hash {registry_hash}")
-        lines.append("# age_binning exact")
+    def to_text(self, registry_hash: str) -> str:
+        lines = ["# covariate codebook v1", f"# registry_hash {registry_hash}", "# age_binning exact"]
         for fieldname in COVARIATE_FIELDS:
             lines.extend(f"{fieldname}\t{value}" for value in self.categories[fieldname])
         return "\n".join(lines) + "\n"

@@ -176,12 +176,6 @@ def evaluate_scores(y_true, scores, threshold: float = 0.5) -> EvalReport:
     )
 
 
-def evaluate(network, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> EvalReport:
-    """Single inference-mode pass over the test set, then all metrics."""
-    scores = network.predict_scores(x)
-    return evaluate_scores(y, scores, threshold)
-
-
 def _fmt(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.6f}"
 

@@ -76,10 +76,6 @@ class Architecture:
         return specs
 
 
-def default_architecture() -> list[LayerSpec]:
-    return Architecture().specs()
-
-
 def infer_shapes(specs: list[LayerSpec], input_length: int) -> list[tuple[int, ...]]:
     """Symbolic pass over the stack; one output shape per layer.
 
@@ -99,14 +95,6 @@ def infer_shapes(specs: list[LayerSpec], input_length: int) -> list[tuple[int, .
     return shapes
 
 
-def per_layer_param_counts(specs: list[LayerSpec], input_length: int) -> list[int]:
-    return [sum(t.size for t in layer.values()) for layer in Network(input_length, specs).params]
-
-
-def param_count(specs: list[LayerSpec], input_length: int) -> int:
-    return sum(per_layer_param_counts(specs, input_length))
-
-
 class Network:
     """An ordered layer stack with its parameter tensors."""
 
@@ -118,7 +106,7 @@ class Network:
         dtype=np.float32,
     ):
         self.input_length = input_length
-        self.specs = list(specs) if specs is not None else default_architecture()
+        self.specs = list(specs) if specs is not None else Architecture().specs()
         self.seed = seed
         self.dtype = dtype
         in_shapes = [(input_length, 1), *infer_shapes(self.specs, input_length)[:-1]]
@@ -219,14 +207,16 @@ def batch_bce_l2(predictions: np.ndarray, labels: np.ndarray, network: Network, 
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam, with the published moment decays and epsilon (Kingma and Ba 2015)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: list[dict[str, np.ndarray]] = field(default_factory=list)
     v: list[dict[str, np.ndarray]] = field(default_factory=list)
@@ -240,8 +230,8 @@ def adam_step(state: AdamState, params, grads):
     """One bias-corrected Adam update, in place; returns the parameters."""
     state.step += 1
     t = state.step
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     for layer_p, layer_g, layer_m, layer_v in zip(params, grads, state.m, state.v):
         for key, p in layer_p.items():
             g = layer_g[key]
@@ -249,11 +239,11 @@ def adam_step(state: AdamState, params, grads):
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
             m = layer_m[key]
             v = layer_v[key]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             m_hat = m / correction1
             v_hat = v / correction2
-            p -= (state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)).astype(p.dtype)
+            p -= (state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)).astype(p.dtype)
     return params

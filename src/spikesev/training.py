@@ -19,7 +19,6 @@ from .network import (
     Network,
     adam_step,
     batch_bce_l2,
-    param_count,
 )
 
 
@@ -156,22 +155,16 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[tuple[np.nda
     return folds
 
 
-@dataclass(frozen=True)
-class CrossValResult:
-    fold_f1: list[float]
-    mean_f1: float
-    std_f1: float
-
-
 def cross_validate(
     m: FeatureMatrix,
     k: int,
     config: TrainConfig,
     specs: list[LayerSpec],
     smote_k: int = 5,
-) -> CrossValResult:
+) -> list[float]:
     """Stratified k-fold; SMOTE is applied to the training part of each fold
-    only, and the held-out part is scored with the support-weighted F1."""
+    only, and the held-out part is scored with the support-weighted F1. One
+    F1 per fold, in fold order."""
     from .evaluation import evaluate_scores
 
     scores = []
@@ -181,8 +174,7 @@ def cross_validate(
         train(net, balanced.x, balanced.y, config)
         report = evaluate_scores(m.y[val_idx], net.predict_scores(m.x[val_idx]))
         scores.append(report.prf_by_convention["weighted"].f1)
-    mean = float(np.mean(scores))
-    return CrossValResult(fold_f1=scores, mean_f1=mean, std_f1=float(np.std(scores)))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +188,30 @@ class Choice:
         return self.values[int(rng.integers(0, len(self.values)))]
 
 
+RANGE_KINDS = ("linear", "log", "int")
+
+
 @dataclass(frozen=True)
 class Range:
+    """Uniform draws from [low, high]: `linear` floats, `log` floats uniform
+    in log space, or `int` whole numbers with both bounds included."""
+
     low: float
     high: float
-    scale: str = "linear"  # "linear" or "log"
-    integer: bool = False
+    kind: str = "linear"
 
     def __post_init__(self):
+        if self.kind not in RANGE_KINDS:
+            raise ValueError(f"unknown range kind {self.kind!r}, expected one of {', '.join(RANGE_KINDS)}")
         if self.high < self.low:
             raise ValueError("range high < low")
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"unknown scale {self.scale!r}")
-        if self.scale == "log" and self.low <= 0:
+        if self.kind == "log" and self.low <= 0:
             raise ValueError(f"log-scale range needs low > 0, got {self.low}")
 
     def sample(self, rng: np.random.Generator):
-        if self.integer:
+        if self.kind == "int":
             return int(rng.integers(int(self.low), int(self.high) + 1))
-        if self.scale == "log":
+        if self.kind == "log":
             return float(np.exp(rng.uniform(np.log(self.low), np.log(self.high))))
         return float(rng.uniform(self.low, self.high))
 
@@ -274,7 +271,7 @@ def default_search_space() -> SearchSpace:
         "dense1_units": Choice((32, 64, 96)),
         "dense2_units": Choice((16, 32, 48)),
         "dense3_units": Choice((8, 16, 24)),
-        "learning_rate": Range(1e-4, 1e-2, scale="log"),
+        "learning_rate": Range(1e-4, 1e-2, "log"),
     }
 
 
@@ -296,7 +293,7 @@ def parse_search_space(text: str) -> SearchSpace:
             name, kind, *args = parts
             if name in space:
                 raise ValueError(f"repeated name {name!r}")
-            if kind not in ("choice", "linear", "log", "int"):
+            if kind not in ("choice", *RANGE_KINDS):
                 raise ValueError(f"unknown domain kind {kind!r}")
             value_type = _value_type(name)
             if kind == "choice":
@@ -305,10 +302,9 @@ def parse_search_space(text: str) -> SearchSpace:
                 raise ValueError(f"{name} takes whole numbers: use a choice or an int range, not {kind}")
             elif len(args) != 2:
                 raise ValueError(f"{kind} range needs 2 bounds, got {len(args)}")
-            elif kind == "int":
-                space[name] = Range(_number(args[0], int), _number(args[1], int), integer=True)
             else:
-                space[name] = Range(_number(args[0], float), _number(args[1], float), scale=kind)
+                bound_type = int if kind == "int" else float
+                space[name] = Range(*(_number(a, bound_type) for a in args), kind)
         except ValueError as exc:
             raise ValueError(f"search space line {lineno}: {exc}") from None
     if not space:
@@ -377,16 +373,15 @@ def random_search(
         trial = Trial(index=idx, hyperparams=hp)
         try:
             specs = specs_from_hyperparams(hp, base)
-            trial.n_params = param_count(specs, width)
+            trial.n_params = Network(width, specs).param_count()
             trial_config = replace(
                 config,
                 learning_rate=float(hp.get("learning_rate", config.learning_rate)),
                 seed=config.seed + idx,
             )
-            result = cross_validate(m, cv_k, trial_config, specs=specs, smote_k=smote_k)
-            trial.fold_f1 = result.fold_f1
-            trial.mean_f1 = result.mean_f1
-            trial.std_f1 = result.std_f1
+            trial.fold_f1 = cross_validate(m, cv_k, trial_config, specs=specs, smote_k=smote_k)
+            trial.mean_f1 = float(np.mean(trial.fold_f1))
+            trial.std_f1 = float(np.std(trial.fold_f1))
         except ValueError as exc:
             trial.status = "failed"
             trial.error = str(exc)

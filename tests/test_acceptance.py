@@ -18,17 +18,11 @@ from helpers import (
     separable_blobs,
 )
 from spikesev.dataset import FeatureMatrix, smote, stratified_split
-from spikesev.evaluation import basic_rates, confusion, prf, roc_auc
-from spikesev.gradcheck import run_gradient_checks
+from spikesev.evaluation import basic_rates, confusion, evaluate_scores, prf, roc_auc
+from spikesev.gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, INPUT_LENGTH, run_gradient_checks
 from spikesev.ingest import Severity, normalize_status
 from spikesev.layers import DropoutSpec
-from spikesev.network import (
-    Network,
-    default_architecture,
-    infer_shapes,
-    param_count,
-    per_layer_param_counts,
-)
+from spikesev.network import Network, infer_shapes
 from spikesev.training import TrainConfig, train
 
 
@@ -42,9 +36,10 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_architecture_fidelity():
-    specs = default_architecture()
-    total = param_count(specs, 16730)
-    per_layer = [c for c in per_layer_param_counts(specs, 16730) if c > 0]
+    net = Network(16730)
+    specs = net.specs
+    total = net.param_count()
+    per_layer = [c for c in (sum(t.size for t in p.values()) for p in net.params) if c > 0]
     shapes = [
         s for spec, s in zip(specs, infer_shapes(specs, 16730))
         if not isinstance(spec, DropoutSpec)
@@ -97,7 +92,8 @@ def test_criterion_2_metric_oracle():
 
 
 def test_criterion_3_gradient_correctness():
-    results, passed = run_gradient_checks(seed=2024, input_length=32, h=1e-5, tolerance=1e-4)
+    assert (INPUT_LENGTH, DEFAULT_STEP, DEFAULT_TOLERANCE) == (32, 1e-5, 1e-4)
+    results, passed = run_gradient_checks(seed=2024)
     worst = max(r.rel_error for r in results)
     _report("3 gradient correctness", passed, f"worst rel error {worst:.2e}")
     assert passed
@@ -217,9 +213,7 @@ def test_criterion_6_end_to_end_learnability():
     net = Network(512, scaled_stack(n_stages=3, filters=8, lstm_units=16, dense_units=16), seed=3)
     logs, _ = train(net, xt, yt, TrainConfig(epochs=30, seed=3))
 
-    from spikesev.evaluation import evaluate
-
-    report = evaluate(net, xv, yv)
+    report = evaluate_scores(yv, net.predict_scores(xv))
     best_acc = max(log.train_accuracy for log in logs)
     f1 = report.prf_by_convention["weighted"].f1
     loss_drop = logs[-1].train_loss < logs[0].train_loss

@@ -16,7 +16,7 @@ from spikesev.cli import build_parser, main
 from spikesev.config import ConfigError, RunConfig, load_config
 from spikesev.ingest import Severity, SpikeRecord, read_cohort, write_cohort
 from spikesev.layers import DenseSpec, LSTMSpec
-from spikesev.network import Architecture, Network, param_count
+from spikesev.network import Architecture, Network
 from spikesev.scales import default_registry
 
 TINY_CONFIG = """
@@ -441,6 +441,31 @@ class TestExitCodes:
         assert "error: line 2, column 'clade': tab or line break in " in capsys.readouterr().err
         assert not (tmp_path / "w" / "cohort.tsv").exists()
 
+    @pytest.mark.parametrize("stage", ["split", "ingest", "gradcheck"])
+    def test_a_path_of_the_wrong_kind_is_input_error(self, tmp_path, fixture_files, stage, capsys):
+        """A directory named where a file is read, or a file named as the
+        workdir: exit 2 with one error line, and no file is written."""
+        fasta, meta, _ = fixture_files
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        wd = tmp_path / "w"
+        argv = {
+            "split": ["split", "--matrix", str(a_dir), "--workdir", str(wd)],
+            "ingest": ["ingest", "--fasta", str(fasta), "--metadata", str(a_dir), "--workdir", str(wd)],
+            "gradcheck": ["gradcheck", "--workdir", str(fasta)],
+        }[stage]
+
+        def files():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        before = files()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert files() == before
+
     def test_bare_carriage_return_in_metadata_is_input_error(self, tmp_path, capsys):
         """A bare CR in an unquoted cell reaches `csv` as it is, not as a line
         break that splits the row in two."""
@@ -532,7 +557,7 @@ class TestSearchCommand:
         for row in rows:
             fields = dict(zip(header.split("\t"), row.split("\t")))
             assert fields["status"] == "ok"
-            assert fields["param_count"] == str(param_count(arch.specs(), 600))
+            assert fields["param_count"] == str(Network(600, arch.specs()).param_count())
         capsys.readouterr()
 
 

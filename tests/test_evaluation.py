@@ -8,7 +8,6 @@ from spikesev.evaluation import (
     ConfusionMatrix,
     basic_rates,
     confusion,
-    evaluate,
     evaluate_scores,
     prf,
     report_text,
@@ -201,8 +200,8 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 40)).astype(np.float32)
         y = rng.integers(0, 2, 12).astype(np.uint8)
-        a = evaluate(net, x, y)
-        b = evaluate(net, x, y)
+        a = evaluate_scores(y, net.predict_scores(x))
+        b = evaluate_scores(y, net.predict_scores(x))
         assert a == b
 
     def test_report_tsv_six_decimals(self):

@@ -17,14 +17,12 @@ from spikesev.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from spikesev.layers import Conv1DSpec, DenseSpec, DropoutSpec, LSTMSpec
 from spikesev.network import (
     AdamState,
+    Architecture,
     Network,
     ShapeError,
     adam_step,
     batch_bce_l2,
-    default_architecture,
     infer_shapes,
-    param_count,
-    per_layer_param_counts,
 )
 from spikesev.training import TrainConfig, train
 
@@ -47,22 +45,26 @@ REFERENCE_SHAPES = [
 REFERENCE_COUNTS = [640, 32832, 16448, 6168, 22784, 4160, 2080, 528, 17]
 
 
+def _layer_counts(net: Network) -> list[int]:
+    return [sum(t.size for t in layer.values()) for layer in net.params]
+
+
 class TestArchitectureAccounting:
     def test_total_parameter_count(self):
-        assert param_count(default_architecture(), 16730) == 85657
+        assert Network(16730).param_count() == 85657
 
     def test_per_layer_parameter_counts(self):
-        counts = per_layer_param_counts(default_architecture(), 16730)
+        counts = _layer_counts(Network(16730))
         assert [c for c in counts if c > 0] == REFERENCE_COUNTS
 
     def test_shapes_excluding_dropout(self):
-        specs = default_architecture()
+        specs = Architecture().specs()
         shapes = infer_shapes(specs, 16730)
         non_dropout = [s for spec, s in zip(specs, shapes) if not isinstance(spec, DropoutSpec)]
         assert non_dropout == REFERENCE_SHAPES
 
     def test_dropout_preserves_shape(self):
-        specs = default_architecture()
+        specs = Architecture().specs()
         shapes = infer_shapes(specs, 16730)
         for i, spec in enumerate(specs):
             if isinstance(spec, DropoutSpec):
@@ -86,13 +88,13 @@ class TestArchitectureAccounting:
             infer_shapes([Conv1DSpec(2, 4), DenseSpec(3)], 32)
 
     def test_single_conv_param_examples(self):
-        assert param_count([Conv1DSpec(128, 4)], 16730) == 640
+        assert Network(16730, [Conv1DSpec(128, 4)]).param_count() == 640
         # 64 filters over 128 channels
         specs = [Conv1DSpec(128, 4), Conv1DSpec(64, 4)]
-        assert per_layer_param_counts(specs, 16730)[1] == 32832
+        assert _layer_counts(Network(16730, specs))[1] == 32832
         # dense 1 over 16 inputs
         specs = [LSTMSpec(16), DenseSpec(1, "sigmoid")]
-        assert per_layer_param_counts(specs, 8)[1] == 17
+        assert _layer_counts(Network(8, specs))[1] == 17
 
 
 @pytest.fixture()
@@ -352,6 +354,21 @@ class TestCheckpoint:
         assert opt2.step == 17
         assert opt2.learning_rate == 0.005
         np.testing.assert_array_equal(opt2.m[0]["w"], opt.m[0]["w"])
+
+    @pytest.mark.parametrize("slot", [1, 2, 3], ids=["beta1", "beta2", "epsilon"])
+    def test_other_adam_constants_refused(self, tiny_net, tmp_path, slot):
+        opt = AdamState.for_network(tiny_net, learning_rate=0.005)
+        opt.step = 3
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_net, path, self.REG_HASH, opt)
+        values = [0.005, 0.9, 0.999, 1e-8, 3]
+        record = struct.pack("<ddddQ", *values)
+        blob = path.read_bytes()
+        assert blob.count(record) == 1  # the record holds the published constants
+        values[slot] = 0.5
+        path.write_bytes(blob.replace(record, struct.pack("<ddddQ", *values)))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: optimizer beta1=") + ".*0.5"):
+            load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tiny_net, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -635,8 +652,8 @@ class TestUnusedParameterInvariance:
         assert grown == pytest.approx(lam * float((new_column.astype(np.float64) ** 2).sum()), rel=1e-6)
 
 
-def test_default_architecture_layer_sequence():
-    specs = default_architecture()
+def test_stock_architecture_layer_sequence():
+    specs = Architecture().specs()
     kinds = [type(s).__name__ for s in specs]
     assert kinds == [
         "Conv1DSpec", "MaxPool1DSpec", "DropoutSpec",

@@ -6,10 +6,9 @@ import pytest
 import spikesev.training as training_module
 from helpers import best_threshold_accuracy, scaled_stack, separable_blobs
 from spikesev.dataset import FeatureMatrix
-from spikesev.network import Architecture, Network, default_architecture, param_count
+from spikesev.network import Architecture, Network
 from spikesev.training import (
     Choice,
-    CrossValResult,
     EpochLog,
     Range,
     TrainConfig,
@@ -160,9 +159,9 @@ class TestCrossValidate:
         assert best_threshold_accuracy(m.x[:, 0], m.y) >= 0.95
         config = TrainConfig(epochs=8, seed=4, batch_size=16, learning_rate=3e-3)
         result = cross_validate(m, 3, config, specs=scaled_stack(**TINY), smote_k=3)
-        assert isinstance(result, CrossValResult)
-        assert len(result.fold_f1) == 3
-        assert result.mean_f1 >= 0.95
+        assert isinstance(result, list)
+        assert len(result) == 3
+        assert np.mean(result) >= 0.95
 
     def test_balancing_stays_inside_the_fold(self, monkeypatch):
         m = _blob_matrix(n=30, length=40)
@@ -203,7 +202,7 @@ SMALL_SPACE = {
     "dense1_units": Choice((8,)),
     "dense2_units": Choice((4,)),
     "dense3_units": Choice((4,)),
-    "learning_rate": Range(1e-3, 5e-3, scale="log"),
+    "learning_rate": Range(1e-3, 5e-3, "log"),
 }
 
 
@@ -285,19 +284,42 @@ class TestSearchSpaceParsing:
         space = parse_search_space(text)
         assert space["kernel_size"] == Choice((3, 4, 5))
         assert space["dropout_rate"] == Range(0.05, 0.3)
-        assert space["learning_rate"] == Range(1e-4, 1e-2, scale="log")
-        assert space["lstm_units"] == Range(16, 96, integer=True)
+        assert space["learning_rate"] == Range(1e-4, 1e-2, "log")
+        assert space["lstm_units"] == Range(16, 96, "int")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             parse_search_space("x\tgaussian\t0\t1\n")
+
+    def test_range_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown range kind 'gaussian', expected one of linear, log, int"):
+            Range(0.0, 1.0, "gaussian")
+
+    def test_each_range_kind_draws_its_pinned_values(self):
+        # pinned draws of a seeded generator: any change to how a kind samples shows here
+        space = parse_search_space(
+            "dropout_rate\tlinear\t0.05\t0.3\n"
+            "learning_rate\tlog\t1e-4\t1e-2\n"
+            "lstm_units\tint\t16\t96\n"
+        )
+        rng = np.random.default_rng(11)
+        draws = [sample_hyperparams(space, rng) for _ in range(4)]
+        assert [d["lstm_units"] for d in draws] == [63, 64, 59, 26]
+        assert all(type(d["lstm_units"]) is int for d in draws)
+        assert [d["dropout_rate"] for d in draws] == pytest.approx(
+            [0.0821425506922999, 0.05717225209298614, 0.28205275574009236, 0.28708211332294375], rel=1e-12
+        )
+        assert [d["learning_rate"] for d in draws] == pytest.approx(
+            [0.0009966799572101498, 0.00019762968078073265, 0.00013830604178168284, 0.001752940542347515],
+            rel=1e-12,
+        )
 
     @pytest.mark.parametrize("low", ["0", "-0.001"])
     def test_log_range_needs_positive_low(self, low):
         with pytest.raises(ValueError, match="low > 0"):
             parse_search_space(f"learning_rate\tlog\t{low}\t0.01\n")
         with pytest.raises(ValueError, match="low > 0"):
-            Range(float(low), 0.01, scale="log")
+            Range(float(low), 0.01, "log")
 
     @pytest.mark.parametrize(
         "line, message",
@@ -332,7 +354,7 @@ class TestSearchSpaceParsing:
             assert specs  # every sampled stack is constructible
 
     def test_stock_defaults_build_the_default_stack(self):
-        assert specs_from_hyperparams({}, Architecture()) == default_architecture()
+        assert specs_from_hyperparams({}, Architecture()) == Architecture().specs()
 
     @pytest.mark.parametrize(
         "line, message",
@@ -393,4 +415,4 @@ class TestSearchBase:
         config = TrainConfig(epochs=1, batch_size=16)
         trials = random_search(space, 1, m, config, self.BASE, cv_k=2, smote_k=2)
         assert trials[0].status == "ok"
-        assert trials[0].n_params == param_count(self.BASE.specs(), 40)
+        assert trials[0].n_params == Network(40, self.BASE.specs()).param_count()
