@@ -42,20 +42,14 @@ def _write_resolved(cfg: RunConfig, wd: Path, command: str, extra: dict[str, str
     (wd / f"{command}.resolved.cfg").write_text(cfg.resolved_lines(extra), encoding="utf-8")
 
 
-def _detect_delimiter(cfg: RunConfig, path: str, text: str) -> str:
-    if cfg.delimiter == "tab":
-        return "\t"
-    if cfg.delimiter == "comma":
-        return ","
-    if cfg.delimiter != "auto":
-        raise ValueError(f"bad value for delimiter: {cfg.delimiter!r} (expected auto, tab or comma)")
+def _detect_delimiter(path: str, text: str) -> str:
+    """A tab for `.tsv`/`.tab`, a comma for `.csv`, else a tab if the header line holds one."""
     suffix = Path(path).suffix.casefold()
     if suffix in (".tsv", ".tab"):
         return "\t"
     if suffix == ".csv":
         return ","
-    first = text.splitlines()[0] if text.splitlines() else ""
-    return "\t" if "\t" in first else ","
+    return "\t" if "\t" in (text.splitlines() or [""])[0] else ","
 
 
 def _train_config(cfg: RunConfig) -> training.TrainConfig:
@@ -86,7 +80,7 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     # newline="": a line break inside a cell reaches `csv`, which rules on it.
     with open(cfg.metadata, encoding="utf-8", newline="") as fh:
         meta_text = fh.read()
-    delimiter = _detect_delimiter(cfg, cfg.metadata, meta_text)
+    delimiter = _detect_delimiter(cfg.metadata, meta_text)
     fasta_records, rejects = ingest.parse_fasta(fasta_text)
     rows = ingest.parse_metadata(meta_text, delimiter)
     cohort, report = ingest.build_cohort(fasta_records, rows)
@@ -198,9 +192,12 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
     net, _, _ = ckpt.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
-    codebook = dataset.CovariateCodebook.from_text(
+    codebook, codebook_hash = dataset.CovariateCodebook.from_text(
         Path(args.codebook).read_text(encoding="utf-8")
     )
+    if codebook_hash != registry.content_hash:
+        raise ValueError(f"{args.codebook}: codebook was built against registry {codebook_hash[:12]}..., "
+                         f"current registry is {registry.content_hash[:12]}...")
     records = ingest.read_cohort(args.cohort)
     if not records:
         raise ValueError(f"{args.cohort}: cohort is empty, nothing to predict")
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, cmd_ingest)
     p.add_argument("--fasta", required=True)
     p.add_argument("--metadata", required=True)
-    p.add_argument("--delimiter", choices=["auto", "tab", "comma"])
 
     p = sub.add_parser("stats", help="cohort frequency tables and mean ages")
     _add_common(p, cmd_stats)
@@ -288,66 +284,66 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="cohort -> feature matrix + codebook")
     _add_common(p, cmd_featurize)
     p.add_argument("--cohort", required=True)
-    p.add_argument("--n-model", type=int, dest="n_model")
+    p.add_argument("--n-model")
 
     p = sub.add_parser("split", help="stratified train/test split of a matrix")
     _add_common(p, cmd_split)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--seed", type=int, dest="split_seed")
+    p.add_argument("--ratio")
+    p.add_argument("--seed", dest="split_seed")
 
     p = sub.add_parser("balance", help="SMOTE-balance a training matrix")
     _add_common(p, cmd_balance)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, dest="smote_k")
-    p.add_argument("--seed", type=int, dest="smote_seed")
+    p.add_argument("--k", dest="smote_k")
+    p.add_argument("--seed", dest="smote_seed")
 
     p = sub.add_parser("train", help="train a model on a matrix")
     _add_common(p, cmd_train)
     p.add_argument("--matrix", required=True)
     p.add_argument("--val-matrix")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--lambda-l2", type=float, dest="lambda_l2")
-    p.add_argument("--seed", type=int, dest="train_seed")
+    p.add_argument("--epochs")
+    p.add_argument("--batch-size")
+    p.add_argument("--learning-rate")
+    p.add_argument("--lambda-l2")
+    p.add_argument("--seed", dest="train_seed")
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a test matrix")
     _add_common(p, cmd_evaluate)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold")
 
     p = sub.add_parser("predict", help="per-record scores from a checkpoint")
     _add_common(p, cmd_predict)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--codebook", required=True)
     p.add_argument("--cohort", required=True)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold")
 
     p = sub.add_parser("search", help="random hyperparameter search")
     _add_common(p, cmd_search)
     p.add_argument("--matrix", required=True)
     p.add_argument("--space", dest="search_space")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--k", type=int, dest="cv_k")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int, dest="train_seed")
+    p.add_argument("--trials")
+    p.add_argument("--k", dest="cv_k")
+    p.add_argument("--epochs")
+    p.add_argument("--seed", dest="train_seed")
     p.add_argument("--include-default", action="store_true",
                    help="score the configured architecture as a fixed first trial")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     _add_common(p, cmd_gradcheck)
-    p.add_argument("--seed", type=int, dest="train_seed")
+    p.add_argument("--seed", dest="train_seed")
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The config file's values, overridden by every given flag whose dest
-    names a `RunConfig` field."""
+    """The config file's values, overridden by the text of every given flag
+    whose dest names a `RunConfig` field; `RunConfig.apply` parses both."""
     overrides = {
-        f.name: str(getattr(args, f.name))
+        f.name: getattr(args, f.name)
         for f in fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }

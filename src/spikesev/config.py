@@ -40,8 +40,6 @@ class RunConfig:
     workdir: str = "."
     registry: str = ""  # empty -> packaged default registry
     search_space: str = ""  # empty -> built-in default space
-    # metadata parsing
-    delimiter: str = "auto"  # auto | tab | comma
     # featurization
     n_model: int = DEFAULT_N_MODEL
     # split

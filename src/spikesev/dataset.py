@@ -65,12 +65,15 @@ class CovariateCodebook:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "CovariateCodebook":
-        """Parse `to_text` output; a malformed line, or an age binning other
-        than `exact` (one category per integer age), raises
+    def from_text(cls, text: str) -> tuple["CovariateCodebook", str]:
+        """Parse `to_text` output into the codebook and the registry hash it
+        was stamped with. First lines other than `# covariate codebook v1`
+        and `# registry_hash <hash>`, a malformed line, or an age binning
+        other than `exact` (one category per integer age), raises
         CodebookFormatError."""
+        lines = text.splitlines()
         cats: dict[str, list[str]] = {f: [] for f in COVARIATE_FIELDS}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             if line.startswith("# age_binning"):
                 age_binning = line[len("# age_binning"):].strip()
                 if age_binning != "exact":
@@ -86,7 +89,12 @@ class CovariateCodebook:
             if value in cats[fieldname]:
                 raise CodebookFormatError(f"line {lineno}: duplicate {fieldname} value {value!r}")
             cats[fieldname].append(value)
-        return cls(categories={f: tuple(v) for f, v in cats.items()})
+        if lines[:1] != ["# covariate codebook v1"]:
+            raise CodebookFormatError("line 1: expected '# covariate codebook v1'")
+        tag, _, registry_hash = (lines[1:2] or [""])[0].rpartition(" ")
+        if tag != "# registry_hash":
+            raise CodebookFormatError("line 2: expected '# registry_hash <hash>'")
+        return cls(categories={f: tuple(v) for f, v in cats.items()}), registry_hash
 
 
 def fit_codebook(records: list[SpikeRecord]) -> CovariateCodebook:
@@ -94,10 +102,8 @@ def fit_codebook(records: list[SpikeRecord]) -> CovariateCodebook:
         raise ValueError("cannot fit a codebook on an empty record list")
     values: dict[str, set[str]] = {f: set() for f in COVARIATE_FIELDS}
     for rec in records:
-        values["gender"].add(rec.gender)
-        values["age"].add(str(rec.age))
-        values["clade"].add(rec.clade)
-        values["lineage"].add(rec.lineage)
+        for fieldname in COVARIATE_FIELDS:
+            values[fieldname].add(str(getattr(rec, fieldname)))
     return CovariateCodebook(categories={f: tuple(sorted(v)) for f, v in values.items()})
 
 

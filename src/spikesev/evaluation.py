@@ -95,9 +95,9 @@ def _class_prf(tp: int, fp: int, fn: int) -> tuple[float | None, float | None, f
 def prf(cm: ConfusionMatrix, convention: str) -> PRF:
     """Per-class precision/recall/F1 combined under the given convention.
 
-    Macro averages over classes that are present (support > 0); weighted uses
-    supports as weights. Undefined per-class values count as 0 and set the
-    degenerate flag.
+    Positive takes class 1 alone; macro averages over classes that are
+    present (support > 0); weighted uses supports as weights. Undefined
+    per-class values count as 0 and set the degenerate flag.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -107,17 +107,12 @@ def prf(cm: ConfusionMatrix, convention: str) -> PRF:
     }
     supports = {1: cm.tp + cm.fn, 0: cm.tn + cm.fp}
 
-    if convention == "positive":
-        p, r, f = per_class[1]
-        degenerate = any(v is None for v in (p, r, f))
-        return PRF(p if p is not None else 0.0, r if r is not None else 0.0, f if f is not None else 0.0, degenerate)
-
-    present = [c for c in (0, 1) if supports[c] > 0]
-    degenerate = len(present) < 2
+    classes = [1] if convention == "positive" else [c for c in (0, 1) if supports[c] > 0]
+    degenerate = convention != "positive" and len(classes) < 2
     sums = [0.0, 0.0, 0.0]
     weight_total = 0.0
-    for c in present:
-        weight = 1.0 if convention == "macro" else float(supports[c])
+    for c in classes:
+        weight = float(supports[c]) if convention == "weighted" else 1.0
         weight_total += weight
         for j, value in enumerate(per_class[c]):
             if value is None:

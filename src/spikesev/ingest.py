@@ -144,11 +144,13 @@ def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence
     characters are kept as they are. Records containing any character
     outside the 20-letter alphabet (X, gaps, stops, non-ASCII, ...) are
     excluded and reported with the 1-based offset of the first bad character.
-    A sequence line before any header is a parse error.
+    A sequence line before any header, or a record id already given, is a
+    parse error.
     """
     records: list[tuple[str, str]] = []
     rejects: list[RejectedSequence] = []
     current_id: str | None = None
+    header_lines: dict[str, int] = {}
     chunks: list[str] = []
 
     def flush():
@@ -175,6 +177,10 @@ def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence
         if line.startswith(">"):
             flush()
             current_id = line[1:].strip()
+            if current_id in header_lines:
+                first = header_lines[current_id]
+                raise FastaError(f"line {lineno}: repeated record id {current_id!r} (first on line {first})")
+            header_lines[current_id] = lineno
             chunks = []
         else:
             if current_id is None:
@@ -327,13 +333,12 @@ def build_cohort(
     metadata_rows: list[RawMetadataRow],
 ) -> tuple[list[SpikeRecord], ExclusionReport]:
     """Join sequences and metadata on accession id and apply inclusion filters.
+    `fasta_records` holds each id once, as `parse_fasta` returns them.
 
     Every metadata row is either retained or counted under exactly one
     exclusion reason, so retained + sum(counts) == len(metadata_rows).
     """
-    sequences: dict[str, str] = {}
-    for rec_id, seq in fasta_records:
-        sequences.setdefault(rec_id, seq)
+    sequences = dict(fasta_records)
     report = ExclusionReport()
     matched: set[str] = set()
     cohort: list[SpikeRecord] = []

@@ -296,7 +296,8 @@ def maxpool1d_backward(dy: np.ndarray, cache, pool: int):
 
 
 # ---------------------------------------------------------------------------
-# Dropout (inverted: survivors scaled by 1/(1-rate) at train time)
+# Dropout (inverted: survivors scaled by 1/(1-rate) at train time; the gradient
+# takes the same mask and scale, so backward is the forward function)
 
 def sample_dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     return rng.random(shape) >= rate
@@ -306,8 +307,7 @@ def dropout_forward(x: np.ndarray, rate: float, mask: np.ndarray) -> np.ndarray:
     return x * mask / (1.0 - rate)
 
 
-def dropout_backward(dy: np.ndarray, rate: float, mask: np.ndarray) -> np.ndarray:
-    return dy * mask / (1.0 - rate)
+dropout_backward = dropout_forward
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .dataset import FeatureMatrix, smote
+from .evaluation import evaluate_scores
 from .network import (
     AdamState,
     Architecture,
@@ -134,25 +135,20 @@ def epoch_logs_tsv(logs: list[EpochLog]) -> str:
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """k (train_idx, val_idx) pairs; per-class shuffle then round-robin deal,
-    so every fold holds both classes whenever each class has >= k members."""
+    """k (train_idx, val_idx) pairs over 0/1 `labels`; per-class shuffle then
+    round-robin deal, so every fold holds both classes whenever each class
+    has >= k members."""
     if k < 2:
         raise ValueError("k must be >= 2")
     rng = np.random.default_rng(seed)
-    fold_members: list[list[int]] = [[] for _ in range(k)]
+    fold = np.empty(len(labels), dtype=np.intp)
     for label in (0, 1):
         idxs = np.flatnonzero(labels == label)
         if len(idxs) < k:
             raise ValueError(f"class {label} has {len(idxs)} members, fewer than k={k}")
         rng.shuffle(idxs)
-        for j, idx in enumerate(idxs):
-            fold_members[j % k].append(int(idx))
-    folds = []
-    for j in range(k):
-        val = np.array(sorted(fold_members[j]))
-        rest = np.array(sorted(i for jj in range(k) if jj != j for i in fold_members[jj]))
-        folds.append((rest, val))
-    return folds
+        fold[idxs] = np.arange(len(idxs)) % k
+    return [(np.flatnonzero(fold != j), np.flatnonzero(fold == j)) for j in range(k)]
 
 
 def cross_validate(
@@ -165,8 +161,6 @@ def cross_validate(
     """Stratified k-fold; SMOTE is applied to the training part of each fold
     only, and the held-out part is scored with the support-weighted F1. One
     F1 per fold, in fold order."""
-    from .evaluation import evaluate_scores
-
     scores = []
     for fold_idx, (train_idx, val_idx) in enumerate(stratified_folds(m.y, k, config.seed)):
         balanced = smote(m.take(train_idx), k=smote_k, seed=config.seed * 1000 + fold_idx)
@@ -279,8 +273,9 @@ def parse_search_space(text: str) -> SearchSpace:
     """One domain per line: `name\tchoice\tv1\tv2...` or
     `name\t{linear|log|int}\tlow\thigh`. Values take the type of the
     field they set: integer fields take whole-number choices or an int
-    range, `dropout_rate` and `learning_rate` finite numbers. A malformed
-    line, or a name given twice, raises a ValueError naming the line."""
+    range, `dropout_rate` and `learning_rate` finite-number choices or a
+    linear or log range. A malformed line, or a name given twice, raises a
+    ValueError naming the line."""
     space: SearchSpace = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -300,11 +295,12 @@ def parse_search_space(text: str) -> SearchSpace:
                 space[name] = Choice(tuple(_number(a, value_type) for a in args))
             elif value_type is int and kind != "int":
                 raise ValueError(f"{name} takes whole numbers: use a choice or an int range, not {kind}")
+            elif value_type is float and kind == "int":
+                raise ValueError(f"{name} takes real numbers: use a choice, a linear or a log range, not int")
             elif len(args) != 2:
                 raise ValueError(f"{kind} range needs 2 bounds, got {len(args)}")
             else:
-                bound_type = int if kind == "int" else float
-                space[name] = Range(*(_number(a, bound_type) for a in args), kind)
+                space[name] = Range(*(_number(a, value_type) for a in args), kind)
         except ValueError as exc:
             raise ValueError(f"search space line {lineno}: {exc}") from None
     if not space:

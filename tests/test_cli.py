@@ -345,24 +345,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "key",
-        ["not_a_key", "shuffle", "block_weight_sequence", "block_weight_covariates", "age_binning"],
+        ["not_a_key", "shuffle", "block_weight_sequence", "block_weight_covariates", "age_binning",
+         "delimiter"],
     )
     def test_unknown_config_key_rejected(self, tmp_path, key, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"{key} = 1\n")
         assert main(["gradcheck", "--config", str(bad)]) == 2
         assert f"unknown configuration key: {key}" in capsys.readouterr().err
-
-    def test_config_delimiter_outside_its_choices_is_input_error(self, tmp_path, fixture_files,
-                                                                 capsys):
-        fasta, meta, _ = fixture_files
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("delimiter = semicolon\n")
-        code = main(["ingest", "--config", str(bad), "--fasta", str(fasta), "--metadata", str(meta),
-                     "--workdir", str(tmp_path / "w")])
-        assert code == 2
-        assert "bad value for delimiter: 'semicolon'" in capsys.readouterr().err
-        assert not (tmp_path / "w" / "cohort.tsv").exists()
 
     def test_decade_codebook_is_input_error_with_line(self, tmp_path, fixture_files, capsys):
         fasta, meta, cfg = fixture_files
@@ -381,6 +371,53 @@ class TestExitCodes:
         assert code == 2
         assert "line 3: unknown age binning 'decade'" in capsys.readouterr().err
         assert not (wd / "predictions.tsv").exists()
+
+    @pytest.mark.parametrize("stamp", ["", "# covariate codebook v1\n# registry_hash 0123456789abcdef\n"],
+                             ids=["empty-file", "other-registry"])
+    def test_codebook_not_stamped_with_this_registry_is_input_error(self, tmp_path, fixture_files, stamp,
+                                                                   capsys):
+        fasta, meta, cfg = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        main(["featurize", "--config", str(cfg), "--cohort", str(wd / "cohort.tsv"),
+              "--workdir", str(wd)])
+        codebook = wd / "codebook.tsv"
+        body = [line for line in codebook.read_text().splitlines(keepends=True) if not line.startswith("#")]
+        codebook.write_text(stamp + ("".join(body) if stamp else ""))
+        save_checkpoint(Network(600, seed=3), wd / "m.ckpt", default_registry().content_hash)
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(wd / "m.ckpt"), "--codebook", str(codebook),
+                     "--cohort", str(wd / "cohort.tsv"), "--workdir", str(wd)])
+        assert code == 2
+        err = capsys.readouterr().err
+        if stamp:
+            assert f"error: {codebook}: codebook was built against registry 0123456789ab..., " in err
+        else:
+            assert "error: line 1: expected '# covariate codebook v1'" in err
+        assert not (wd / "predictions.tsv").exists()
+
+    def test_repeated_fasta_record_id_is_input_error(self, tmp_path, capsys):
+        fasta = tmp_path / "spike.fasta"
+        meta = tmp_path / "meta.tsv"
+        fasta.write_text(">A1\nMKV\n>A1\nGGG\n>B2\nAAA\n")
+        meta.write_text("accession\tstatus\tage\tgender\tclade\tlineage\tdate\n"
+                        "A1\tMild\t40\tmale\tGR\tB.1\t2021-01-02\n")
+        code = main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(tmp_path / "w")])
+        assert code == 2
+        assert "error: line 3: repeated record id 'A1' (first on line 1)\n" == capsys.readouterr().err
+        assert not (tmp_path / "w" / "cohort.tsv").exists()
+
+    @pytest.mark.parametrize("stage, flag", [("train", "--epochs"), ("split", "--ratio")], ids=["epochs", "ratio"])
+    def test_bad_flag_value_is_refused_like_a_config_value(self, tmp_path, stage, flag, capsys):
+        dataset.write_matrix(dataset.FeatureMatrix(*separable_blobs(n=20, length=64, seed=1), ["-"] * 20),
+                             tmp_path / "x.mat")
+        wd = tmp_path / "w"
+        wd.mkdir()
+        code = main([stage, "--matrix", str(tmp_path / "x.mat"), flag, "x", "--workdir", str(wd)])
+        assert code == 2
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: bad value for {key}: 'x' (")
+        assert list(wd.iterdir()) == []
 
     def test_train_with_zero_learning_rate_writes_no_checkpoint(self, tmp_path, fixture_files,
                                                                 capsys):
@@ -416,8 +453,11 @@ class TestExitCodes:
             ("lstm_units\tlinear\t16\t96", "lstm_units takes whole numbers: use a choice or an int range, not linear"),
             ("dropout_rate\tchoice\tx", "could not convert string to float: 'x'"),
             ("learning_rate\tchoice\tabc", "could not convert string to float: 'abc'"),
+            ("dropout_rate\tint\t0\t1", "dropout_rate takes real numbers: use a choice, a linear or a log range, not int"),
+            ("learning_rate\tint\t1\t2", "learning_rate takes real numbers: use a choice, a linear or a log range, not int"),
         ],
-        ids=["kernel-word", "filters-fraction", "units-fraction", "units-linear", "dropout-word", "rate-word"],
+        ids=["kernel-word", "filters-fraction", "units-fraction", "units-linear", "dropout-word", "rate-word",
+             "dropout-int", "rate-int"],
     )
     def test_search_value_of_the_wrong_type_is_input_error(self, tmp_path, line, message, capsys):
         dataset.write_matrix(dataset.FeatureMatrix(*separable_blobs(n=20, length=64, seed=1), ["-"] * 20),
@@ -843,7 +883,7 @@ def test_config_flags_reach_the_resolved_config(tmp_path, fixture_files, capsys)
     space = tmp_path / "space.tsv"
     space.write_text("learning_rate\tlog\t0.001\t0.003\n")
     runs = {
-        "ingest": ["--fasta", str(fasta), "--metadata", str(meta), "--delimiter", "tab"],
+        "ingest": ["--fasta", str(fasta), "--metadata", str(meta)],
         "stats": ["--cohort", str(wd / "cohort.tsv")],
         "featurize": ["--config", str(cfg), "--cohort", str(wd / "cohort.tsv"), "--n-model", "640"],
         "split": ["--matrix", str(wd / "features.mat"), "--ratio", "0.75", "--seed", "3"],
@@ -902,6 +942,19 @@ def test_readme_configuration_table_lists_every_config_key():
         for key in re.findall(r"`([^`]+)`", line.split("|")[1])
     ]
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+@pytest.mark.parametrize("sep", ["\t", ","], ids=["tab", "comma"])
+def test_metadata_delimiter_comes_from_the_header_line_of_a_txt_file(tmp_path, fixture_files, sep, capsys):
+    fasta, meta, _ = fixture_files
+    txt = tmp_path / "meta.txt"
+    txt.write_text(meta.read_text().replace("\t", sep))
+    assert main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(tmp_path / "a")]) == 0
+    assert main(["ingest", "--fasta", str(fasta), "--metadata", str(txt), "--workdir", str(tmp_path / "b")]) == 0
+    cohort = (tmp_path / "a" / "cohort.tsv").read_bytes()
+    assert cohort.count(b"\n") == 41
+    assert (tmp_path / "b" / "cohort.tsv").read_bytes() == cohort
+    capsys.readouterr()
 
 
 def test_commands_write_only_into_workdir(tmp_path, fixture_files, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,8 +83,24 @@ class TestCodebook:
 
     def test_codebook_text_round_trip(self):
         cb = fit_codebook(_cohort())
-        restored = CovariateCodebook.from_text(cb.to_text(registry_hash="ab12"))
+        restored, registry_hash = CovariateCodebook.from_text(cb.to_text(registry_hash="ab12"))
         assert restored == cb
+        assert registry_hash == "ab12"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: expected '# covariate codebook v1'"),
+            ("gender\tmale\n", "line 1: expected '# covariate codebook v1'"),
+            ("# covariate codebook v1\ngender\tmale\n", "line 2: expected '# registry_hash <hash>'"),
+            ("# covariate codebook v1\n# age_binning exact\n# registry_hash ab\n",
+             "line 2: expected '# registry_hash <hash>'"),
+        ],
+        ids=["empty", "no-title", "no-hash", "hash-not-second"],
+    )
+    def test_title_and_registry_hash_lines_required(self, text, message):
+        with pytest.raises(CodebookFormatError, match=re.escape(message)):
+            CovariateCodebook.from_text(text)
 
     @pytest.mark.parametrize(
         "line, message",

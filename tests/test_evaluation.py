@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_auc, reference_confusion_fixture, scaled_stack
 from spikesev.evaluation import (
+    PRF,
     ConfusionMatrix,
+    _class_prf,
     basic_rates,
     confusion,
     evaluate_scores,
@@ -18,6 +22,31 @@ from spikesev.network import Network
 
 # confusion counts the reference fixture must reproduce
 REF_TN, REF_FP, REF_FN, REF_TP = 383, 84, 37, 190
+
+
+def _two_branch_prf(cm: ConfusionMatrix, convention: str) -> PRF:
+    """Oracle: `prf` as it was written before the positive convention joined
+    the averaging loop (an early return for class 1, then one loop over the
+    present classes for macro and weighted)."""
+    per_class = {1: _class_prf(cm.tp, cm.fp, cm.fn), 0: _class_prf(cm.tn, cm.fn, cm.fp)}
+    supports = {1: cm.tp + cm.fn, 0: cm.tn + cm.fp}
+    if convention == "positive":
+        p, r, f = per_class[1]
+        degenerate = any(v is None for v in (p, r, f))
+        return PRF(p if p is not None else 0.0, r if r is not None else 0.0, f if f is not None else 0.0, degenerate)
+    present = [c for c in (0, 1) if supports[c] > 0]
+    degenerate = len(present) < 2
+    sums = [0.0, 0.0, 0.0]
+    weight_total = 0.0
+    for c in present:
+        weight = 1.0 if convention == "macro" else float(supports[c])
+        weight_total += weight
+        for j, value in enumerate(per_class[c]):
+            if value is None:
+                degenerate = True
+                value = 0.0
+            sums[j] += weight * value
+    return PRF(sums[0] / weight_total, sums[1] / weight_total, sums[2] / weight_total, degenerate)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +163,16 @@ class TestPRF:
     def test_unknown_convention(self, ref_cm):
         with pytest.raises(ValueError, match="convention"):
             prf(ref_cm, "micro")
+
+    @pytest.mark.parametrize("convention", ["positive", "macro", "weighted"])
+    def test_matches_the_two_branch_oracle_exactly(self, convention):
+        counts = list(itertools.product(range(9), repeat=4))
+        counts += [(10**6, 3, 12345, 7), (999983, 999979, 1, 2), (2**40, 5, 2**33, 3)]
+        for tp, tn, fp, fn in counts:
+            if tp + tn + fp + fn == 0:
+                continue  # no class present: macro and weighted divide by zero in both versions
+            cm = ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+            assert repr(prf(cm, convention)) == repr(_two_branch_prf(cm, convention)), (tp, tn, fp, fn)
 
 
 class TestRocAuc:

@@ -83,6 +83,11 @@ class TestParseFasta:
     def test_empty_input(self):
         assert parse_fasta("") == ([], [])
 
+    @pytest.mark.parametrize("second", ["GGG", "GXG"], ids=["valid", "invalid"])
+    def test_repeated_record_id_refused_with_both_header_lines(self, second):
+        with pytest.raises(FastaError, match=re.escape("line 3: repeated record id 'A1' (first on line 1)")):
+            parse_fasta(f">A1\nMKV\n>A1\n{second}\n>B2\nAAA\n")
+
     @given(
         st.lists(
             st.tuples(
@@ -90,6 +95,7 @@ class TestParseFasta:
                 st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=150),
             ),
             max_size=8,
+            unique_by=lambda record: record[0],
         )
     )
     def test_round_trip_identity(self, records):

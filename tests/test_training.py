@@ -146,6 +146,17 @@ class TestStratifiedFolds:
             np.testing.assert_array_equal(ta, tb)
             np.testing.assert_array_equal(va, vb)
 
+    def test_indices_pinned_for_a_seeded_label_vector(self):
+        # recorded from the list-of-lists deal this one-pass assignment replaced
+        labels = np.array([0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
+        folds = stratified_folds(labels, 3, seed=7)
+        assert [(t.tolist(), v.tolist()) for t, v in folds] == [
+            ([0, 1, 2, 5, 6, 7, 9, 11, 12, 13], [3, 4, 8, 10, 14]),
+            ([1, 3, 4, 8, 9, 10, 11, 12, 13, 14], [0, 2, 5, 6, 7]),
+            ([0, 2, 3, 4, 5, 6, 7, 8, 10, 14], [1, 9, 11, 12, 13]),
+        ]
+        assert all(t.dtype == v.dtype == np.intp for t, v in folds)
+
     def test_class_smaller_than_k_rejected(self):
         labels = np.array([0] * 9 + [1] * 2, dtype=np.uint8)
         with pytest.raises(ValueError, match="fewer than k"):
@@ -286,6 +297,12 @@ class TestSearchSpaceParsing:
         assert space["dropout_rate"] == Range(0.05, 0.3)
         assert space["learning_rate"] == Range(1e-4, 1e-2, "log")
         assert space["lstm_units"] == Range(16, 96, "int")
+
+    @pytest.mark.parametrize("name", ["dropout_rate", "learning_rate"])
+    def test_float_field_refuses_an_int_range(self, name):
+        message = f"search space line 2: {name} takes real numbers: use a choice, a linear or a log range, not int"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_search_space(f"kernel_size\tchoice\t3\n{name}\tint\t1\t2\n")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
