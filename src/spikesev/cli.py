@@ -17,7 +17,7 @@ from . import dataset, evaluation, ingest, training
 from .config import RunConfig, load_config
 from .gradcheck import run_gradient_checks
 from .network import Architecture, Network
-from .scales import ScalesRegistry, default_registry, load_registry
+from .scales import ScalesRegistry, default_registry, parse_registry
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -28,8 +28,20 @@ EXIT_INPUT_ERROR = 2
 _INPUT_ERRORS = (ValueError, OSError)
 
 
+def _parse_file(path: str, parse):
+    """`parse` applied to the UTF-8 text of `path`, read with no newline
+    translation (a line break inside a quoted metadata cell reaches `csv`,
+    which rules on it); a ValueError, from the decoding or from `parse`,
+    is raised again naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_registry(cfg: RunConfig) -> ScalesRegistry:
-    return load_registry(cfg.registry) if cfg.registry else default_registry()
+    return _parse_file(cfg.registry, parse_registry) if cfg.registry else default_registry()
 
 
 def _workdir(cfg: RunConfig) -> Path:
@@ -57,7 +69,6 @@ def _train_config(cfg: RunConfig) -> training.TrainConfig:
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
-        lambda_l2=cfg.lambda_l2,
         seed=cfg.train_seed,
     )
 
@@ -76,13 +87,10 @@ def _arch_from_config(cfg: RunConfig) -> Architecture:
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
-    fasta_text = Path(cfg.fasta).read_text(encoding="utf-8")
-    # newline="": a line break inside a cell reaches `csv`, which rules on it.
-    with open(cfg.metadata, encoding="utf-8", newline="") as fh:
-        meta_text = fh.read()
-    delimiter = _detect_delimiter(cfg.metadata, meta_text)
-    fasta_records, rejects = ingest.parse_fasta(fasta_text)
-    rows = ingest.parse_metadata(meta_text, delimiter)
+    fasta_records, rejects = _parse_file(args.fasta, ingest.parse_fasta)
+    rows = _parse_file(
+        args.metadata, lambda text: ingest.parse_metadata(text, _detect_delimiter(args.metadata, text))
+    )
     cohort, report = ingest.build_cohort(fasta_records, rows)
     ingest.write_cohort(cohort, wd / "cohort.tsv")
     report_text = report.to_tsv() + f"invalid sequences\t{len(rejects)}\n"
@@ -192,9 +200,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
     registry = _load_registry(cfg)
     net, _, _ = ckpt.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
-    codebook, codebook_hash = dataset.CovariateCodebook.from_text(
-        Path(args.codebook).read_text(encoding="utf-8")
-    )
+    codebook, codebook_hash = _parse_file(args.codebook, dataset.CovariateCodebook.from_text)
     if codebook_hash != registry.content_hash:
         raise ValueError(f"{args.codebook}: codebook was built against registry {codebook_hash[:12]}..., "
                          f"current registry is {registry.content_hash[:12]}...")
@@ -219,11 +225,10 @@ def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
     m = dataset.read_matrix(args.matrix)
     space = (
-        training.parse_search_space(Path(cfg.search_space).read_text(encoding="utf-8"))
+        _parse_file(cfg.search_space, training.parse_search_space)
         if cfg.search_space
         else training.default_search_space()
     )
-    fixed = [{}] if args.include_default else None  # nothing sampled: the configured model as is
     trials = training.random_search(
         space,
         cfg.trials,
@@ -232,7 +237,7 @@ def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
         _arch_from_config(cfg),
         cv_k=cfg.cv_k,
         smote_k=cfg.smote_k,
-        fixed_trials=fixed,
+        include_default=args.include_default,
     )
     (wd / "trials.tsv").write_text(training.trials_tsv(trials), encoding="utf-8")
     _write_resolved(cfg, wd, "search")
@@ -305,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs")
     p.add_argument("--batch-size")
     p.add_argument("--learning-rate")
-    p.add_argument("--lambda-l2")
     p.add_argument("--seed", dest="train_seed")
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a test matrix")

@@ -35,8 +35,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 @dataclass
 class RunConfig:
     # paths
-    fasta: str = ""
-    metadata: str = ""
     workdir: str = "."
     registry: str = ""  # empty -> packaged default registry
     search_space: str = ""  # empty -> built-in default space
@@ -52,7 +50,6 @@ class RunConfig:
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
     learning_rate: float = TrainConfig.learning_rate
-    lambda_l2: float = TrainConfig.lambda_l2
     train_seed: int = TrainConfig.seed
     # architecture; stock values from Architecture
     conv_filters: tuple[int, ...] = Architecture.conv_filters

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Conv1DSpec, DenseSpec, DropoutSpec, LSTMSpec, MaxPool1DSpec
-from .network import Architecture, Network, batch_bce_l2
-from .training import TrainConfig
+from .network import LAMBDA_L2, Architecture, Network, batch_bce_l2
 
 INPUT_LENGTH = 32
 DEFAULT_STEP = 1e-5
@@ -66,7 +65,6 @@ def run_gradient_checks(seed: int = 2024) -> tuple[list[GradCheckResult], bool]:
     """Every parameter tensor's analytic gradient of the stock BCE + L2 loss
     against central differences of step DEFAULT_STEP, on three rows of
     `tiny_model`; a tensor passes below DEFAULT_TOLERANCE relative error."""
-    lam = TrainConfig.lambda_l2
     rng = np.random.default_rng(seed)
     net = tiny_model(seed=seed)
     x = rng.normal(0.0, 1.0, (3, INPUT_LENGTH))
@@ -77,12 +75,12 @@ def run_gradient_checks(seed: int = 2024) -> tuple[list[GradCheckResult], bool]:
 
     def loss_fn() -> float:
         preds = net.forward(x, train=True, rng=copy.deepcopy(rng)).reshape(-1)
-        loss, _ = batch_bce_l2(preds, y, net, lam)
+        loss, _ = batch_bce_l2(preds, y, net, LAMBDA_L2)
         return loss
 
-    _, dpred = batch_bce_l2(out.reshape(-1), y, net, lam)
+    _, dpred = batch_bce_l2(out.reshape(-1), y, net, LAMBDA_L2)
     grads = net.backward(dpred.reshape(-1, 1), caches)
-    net.add_l2_gradients(grads, lam)
+    net.add_l2_gradients(grads, LAMBDA_L2)
 
     results: list[GradCheckResult] = []
     all_passed = True

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .seqfeatures import byte_residue_indices
+from .seqfeatures import byte_residue_indices, residue_indices
 
 
 class Severity(Enum):
@@ -446,8 +446,9 @@ def write_cohort(records: list[SpikeRecord], path: str | Path) -> None:
 
 def read_cohort(path: str | Path) -> list[SpikeRecord]:
     """Records of a `write_cohort` file. A row that file could not hold (a
-    wrong field count, a repeated accession, an age that is not plain
-    digits, a label other than mild or severe) is refused as `<path>:<line>`."""
+    wrong field count, a repeated accession, an empty or non-canonical
+    sequence, an age that is not plain digits, a label other than mild or
+    severe) is refused as `<path>:<line>`."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split("\t") != _COHORT_HEADER:
         raise MetadataError(f"{path}: not a cohort file")
@@ -463,6 +464,10 @@ def read_cohort(path: str | Path) -> list[SpikeRecord]:
         if acc in first_line:
             raise MetadataError(f"{path}:{lineno}: duplicate accession id {acc} (first on line {first_line[acc]})")
         first_line[acc] = lineno
+        try:
+            residue_indices(seq)
+        except ValueError as exc:
+            raise MetadataError(f"{path}:{lineno}: {exc}") from None
         if not (age.isascii() and age.isdigit()):
             raise MetadataError(f"{path}:{lineno}: age must be a non-negative integer, got {age!r}")
         if label not in (Severity.MILD.value, Severity.SEVERE.value):

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "sigmoid", "linear")
+ACTIVATIONS = ("relu", "sigmoid")
 
 
 class ShapeError(ValueError):
@@ -144,7 +144,7 @@ class LSTMSpec:
 class DenseSpec:
     kind: ClassVar[str] = "dense"
     units: int
-    activation: str = "linear"
+    activation: str
 
     def __post_init__(self):
         if self.units < 1:
@@ -369,16 +369,14 @@ def lstm_backward(dh: np.ndarray, cache, w: np.ndarray, u: np.ndarray):
 # Dense
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str):
-    """x (B, n), w (n, m), b (m,) -> (B, m)."""
+    """x (B, n), w (n, m), b (m,) -> (B, m), through a relu or a sigmoid."""
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"dense input width {x.shape[1]} != weight rows {w.shape[0]}")
     z = x @ w + b
     if activation == "relu":
         a = np.maximum(z, 0.0)
-    elif activation == "sigmoid":
-        a = sigmoid(z)
     else:
-        a = z
+        a = sigmoid(z)
     return a, (x, a)
 
 
@@ -386,10 +384,8 @@ def dense_backward(dy: np.ndarray, cache, w: np.ndarray, activation: str):
     x, a = cache
     if activation == "relu":
         dz = dy * (a > 0)
-    elif activation == "sigmoid":
-        dz = dy * a * (1.0 - a)
     else:
-        dz = dy
+        dz = dy * a * (1.0 - a)
     dw = x.T @ dz
     db = dz.sum(axis=0)
     dx = dz @ w.T

@@ -174,8 +174,6 @@ class Network:
 
     def add_l2_gradients(self, grads, lam: float) -> None:
         """Add d(lam * sum w^2)/dw = 2*lam*w to every weight gradient."""
-        if lam == 0.0:
-            return
         for layer_params, layer_grads in zip(self.params, grads):
             for key, tensor in layer_params.items():
                 if key != "b":
@@ -194,6 +192,10 @@ class Network:
 
 # ---------------------------------------------------------------------------
 # Loss
+
+# The L2 penalty's weight: the loss adds LAMBDA_L2 * (sum of squared weights).
+LAMBDA_L2 = 0.001
+
 
 def batch_bce_l2(predictions: np.ndarray, labels: np.ndarray, network: Network, lam: float):
     """Mean BCE over the batch plus the L2 penalty; also returns

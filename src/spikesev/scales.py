@@ -9,9 +9,9 @@ into every file derived from the registry.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -58,6 +58,8 @@ class ScalesRegistry:
             table = getattr(self, name)
             if set(table) != set(AMINO_ACIDS):
                 raise RegistryError(f"scale {name!r} must cover all 20 residues")
+            if len(set(table.values())) == 1:
+                raise RegistryError(f"scale {name!r} gives all 20 residues one value: min-max cannot scale it")
         if set(self.pka_side_chain) != set(IONIZABLE_SIDE_CHAINS):
             raise RegistryError(
                 "pka_side_chain must cover exactly the ionizable residues "
@@ -98,12 +100,26 @@ def _content_hash(reg: ScalesRegistry) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _finite(text: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise RegistryError(f"line {lineno}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise RegistryError(f"line {lineno}: expected a finite number, got {text!r}")
+    return value
+
+
 def parse_registry(text: str) -> ScalesRegistry:
+    """The registry of a TSV table of `kind<TAB>key<TAB>value` rows. A
+    malformed row, a non-finite number, or a kind and key given twice
+    raises RegistryError naming the line."""
     version = None
     scales: dict[str, dict[str, float]] = {n: {} for n in _SCALE_NAMES}
     pka_side: dict[str, float] = {}
     pka_term: dict[str, float] = {}
     class_sets: dict[str, frozenset[str]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -112,14 +128,17 @@ def parse_registry(text: str) -> ScalesRegistry:
         if len(parts) != 3:
             raise RegistryError(f"line {lineno}: expected 3 tab-separated fields")
         kind, key, value = parts
+        if (kind, key) in first_line:
+            raise RegistryError(f"line {lineno}: repeated row {kind} {key} (first on line {first_line[kind, key]})")
+        first_line[kind, key] = lineno
         if kind == "version":
             version = value
         elif kind in scales:
-            scales[kind][key] = float(value)
+            scales[kind][key] = _finite(value, lineno)
         elif kind == "pka_side_chain":
-            pka_side[key] = float(value)
+            pka_side[key] = _finite(value, lineno)
         elif kind == "pka_terminus":
-            pka_term[key] = float(value)
+            pka_term[key] = _finite(value, lineno)
         elif kind == "class_set":
             class_sets[key] = frozenset(value)
         else:
@@ -137,10 +156,6 @@ def parse_registry(text: str) -> ScalesRegistry:
         pka_termini=(pka_term["n"], pka_term["c"]),
         class_sets=class_sets,
     )
-
-
-def load_registry(path: str | Path) -> ScalesRegistry:
-    return parse_registry(Path(path).read_text(encoding="utf-8"))
 
 
 def default_registry() -> ScalesRegistry:

@@ -14,6 +14,7 @@ import numpy as np
 from .dataset import FeatureMatrix, smote
 from .evaluation import evaluate_scores
 from .network import (
+    LAMBDA_L2,
     AdamState,
     Architecture,
     LayerSpec,
@@ -28,7 +29,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = AdamState.learning_rate
-    lambda_l2: float = 0.001
     seed: int = 0
 
     def __post_init__(self):
@@ -38,8 +38,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a positive finite number, got {self.learning_rate}")
-        if not self.lambda_l2 >= 0:  # NaN fails this comparison too
-            raise ValueError(f"lambda_l2 must be >= 0, got {self.lambda_l2}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +95,13 @@ def train(
             xb, yb = x[batch], y[batch]
             out, caches = network.forward(xb, train=True, rng=rng_dropout, want_caches=True)
             preds = out.reshape(-1)
-            loss, dpred = batch_bce_l2(preds, yb, network, config.lambda_l2)
+            loss, dpred = batch_bce_l2(preds, yb, network, LAMBDA_L2)
             if not math.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
             grads = network.backward(dpred.reshape(-1, 1).astype(network.dtype), caches)
-            network.add_l2_gradients(grads, config.lambda_l2)
+            network.add_l2_gradients(grads, LAMBDA_L2)
             adam_step(optimizer, network.params, grads)
             loss_sum += loss * len(batch)
             correct += int(((preds >= 0.5).astype(np.uint8) == yb).sum())
@@ -111,7 +109,7 @@ def train(
         if validation is not None:
             xv, yv = validation
             scores = network.predict_scores(xv)
-            val_loss, _ = batch_bce_l2(scores, yv, network, config.lambda_l2)
+            val_loss, _ = batch_bce_l2(scores, yv, network, LAMBDA_L2)
             val_acc = float(((scores >= 0.5).astype(np.uint8) == yv).mean())
         logs.append(
             EpochLog(
@@ -353,16 +351,20 @@ def random_search(
     base: Architecture,
     cv_k: int = 5,
     smote_k: int = 5,
-    fixed_trials: list[dict] | None = None,
+    include_default: bool = False,
 ) -> list[Trial]:
     """Seeded independent draws, each applied to the `base` architecture and
     scored by cross-validation; ranked by mean F1 descending with smaller
-    parameter count breaking ties. Trials whose sampled stack cannot be
-    built or fails shape inference are recorded as failed."""
+    parameter count breaking ties. With `include_default`, `base` itself,
+    with nothing sampled, is trial 0. Trials whose sampled stack cannot be
+    built or fails shape inference are recorded as failed; a `base`, `cv_k`
+    or label vector that no trial could use raises ValueError first."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    base.specs()
+    stratified_folds(m.y, cv_k, config.seed)
     rng = np.random.default_rng(config.seed)
-    all_hp = list(fixed_trials or []) + [sample_hyperparams(space, rng) for _ in range(n_trials)]
+    all_hp = ([{}] if include_default else []) + [sample_hyperparams(space, rng) for _ in range(n_trials)]
     width = m.x.shape[1]
     trials: list[Trial] = []
     for idx, hp in enumerate(all_hp):

@@ -346,13 +346,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key",
         ["not_a_key", "shuffle", "block_weight_sequence", "block_weight_covariates", "age_binning",
-         "delimiter"],
+         "delimiter", "fasta", "metadata", "lambda_l2"],
     )
     def test_unknown_config_key_rejected(self, tmp_path, key, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"{key} = 1\n")
         assert main(["gradcheck", "--config", str(bad)]) == 2
         assert f"unknown configuration key: {key}" in capsys.readouterr().err
+
+    def test_lambda_l2_flag_is_unknown(self, tmp_path, capsys):
+        dataset.write_matrix(dataset.FeatureMatrix(*separable_blobs(n=20, length=64, seed=1), ["-"] * 20),
+                             tmp_path / "x.mat")
+        wd = tmp_path / "w"
+        wd.mkdir()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--matrix", str(tmp_path / "x.mat"), "--lambda-l2", "0.001", "--workdir", str(wd)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --lambda-l2 0.001" in capsys.readouterr().err
+        assert list(wd.iterdir()) == []
 
     def test_decade_codebook_is_input_error_with_line(self, tmp_path, fixture_files, capsys):
         fasta, meta, cfg = fixture_files
@@ -393,7 +404,7 @@ class TestExitCodes:
         if stamp:
             assert f"error: {codebook}: codebook was built against registry 0123456789ab..., " in err
         else:
-            assert "error: line 1: expected '# covariate codebook v1'" in err
+            assert f"error: {codebook}: line 1: expected '# covariate codebook v1'" in err
         assert not (wd / "predictions.tsv").exists()
 
     def test_repeated_fasta_record_id_is_input_error(self, tmp_path, capsys):
@@ -404,8 +415,49 @@ class TestExitCodes:
                         "A1\tMild\t40\tmale\tGR\tB.1\t2021-01-02\n")
         code = main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(tmp_path / "w")])
         assert code == 2
-        assert "error: line 3: repeated record id 'A1' (first on line 1)\n" == capsys.readouterr().err
+        assert f"error: {fasta}: line 3: repeated record id 'A1' (first on line 1)\n" == capsys.readouterr().err
         assert not (tmp_path / "w" / "cohort.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [(["--k", "1"], "k must be >= 2"), (["--config", "bad.cfg"], "conv filters and kernel must be >= 1")],
+        ids=["k-1", "conv-filters-0"],
+    )
+    def test_search_refuses_a_bad_setting_before_any_trial(self, tmp_path, setting, message, monkeypatch,
+                                                           capsys):
+        dataset.write_matrix(dataset.FeatureMatrix(*separable_blobs(n=20, length=64, seed=1), ["-"] * 20),
+                             tmp_path / "x.mat")
+        (tmp_path / "bad.cfg").write_text("conv_filters = 0,4\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("spikesev.training.cross_validate", lambda *a, **k: pytest.fail("a trial ran"))
+        code = main(["search", "--matrix", "x.mat", "--trials", "1", "--epochs", "1", *setting, "--workdir", "w"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "w" / "trials.tsv").exists()
+
+    @pytest.mark.parametrize("which", ["fasta", "metadata", "registry", "search-space", "codebook"])
+    def test_every_text_input_error_names_its_file(self, tmp_path, which, capsys):
+        fasta, meta = tmp_path / "s.fasta", tmp_path / "m.tsv"
+        fasta_text, meta_text = cohort_fixture_texts()
+        fasta.write_text(fasta_text)
+        meta.write_text(meta_text)
+        dataset.write_matrix(dataset.FeatureMatrix(*separable_blobs(n=20, length=64, seed=1), ["-"] * 20),
+                             tmp_path / "x.mat")
+        save_checkpoint(Network(64, seed=3), tmp_path / "m.ckpt", default_registry().content_hash)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\n")
+        (tmp_path / "run.cfg").write_text(f"registry = {bad}\n")
+        wd = str(tmp_path / "w")
+        argv = {
+            "fasta": ["ingest", "--fasta", str(bad), "--metadata", str(meta)],
+            "metadata": ["ingest", "--fasta", str(fasta), "--metadata", str(bad)],
+            "registry": ["featurize", "--config", str(tmp_path / "run.cfg"), "--cohort", str(tmp_path / "c.tsv")],
+            "search-space": ["search", "--matrix", str(tmp_path / "x.mat"), "--space", str(bad), "--k", "2"],
+            "codebook": ["predict", "--checkpoint", str(tmp_path / "m.ckpt"), "--codebook", str(bad),
+                         "--cohort", str(tmp_path / "c.tsv")],
+        }[which]
+        assert main([*argv, "--workdir", wd]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("stage, flag", [("train", "--epochs"), ("split", "--ratio")], ids=["epochs", "ratio"])
     def test_bad_flag_value_is_refused_like_a_config_value(self, tmp_path, stage, flag, capsys):
@@ -467,7 +519,7 @@ class TestExitCodes:
         code = main(["search", "--matrix", str(tmp_path / "x.mat"), "--space", str(space),
                      "--trials", "1", "--k", "2", "--epochs", "1", "--workdir", str(tmp_path / "w")])
         assert code == 2
-        assert f"error: search space line 2: {message}\n" == capsys.readouterr().err
+        assert f"error: {space}: search space line 2: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "w" / "trials.tsv").exists()
 
     @pytest.mark.parametrize("clade", ["G\tR", "G\nR"], ids=["tab", "line-feed"])
@@ -478,7 +530,7 @@ class TestExitCodes:
         meta.write_text(f'accession,status,age,gender,clade,lineage,date\nA1,Mild,40,male,"{clade}",B.1,2021-01-02\n')
         code = main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(tmp_path / "w")])
         assert code == 2
-        assert "error: line 2, column 'clade': tab or line break in " in capsys.readouterr().err
+        assert f"error: {meta}: line 2, column 'clade': tab or line break in " in capsys.readouterr().err
         assert not (tmp_path / "w" / "cohort.tsv").exists()
 
     @pytest.mark.parametrize("stage", ["split", "ingest", "gradcheck"])
@@ -515,7 +567,7 @@ class TestExitCodes:
         meta.write_bytes(b"accession,status,age,gender,clade,lineage,date\nA1,Mild,40,male,G\rR,B.1,2021-01-02\n")
         code = main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(tmp_path / "w")])
         assert code == 2
-        assert capsys.readouterr().err == "error: line 2: new-line character seen in unquoted field\n"
+        assert capsys.readouterr().err == f"error: {meta}: line 2: new-line character seen in unquoted field\n"
         assert not (tmp_path / "w" / "cohort.tsv").exists()
 
     def test_crlf_metadata_changes_no_ingest_byte(self, tmp_path, fixture_files, capsys):
@@ -889,7 +941,7 @@ def test_config_flags_reach_the_resolved_config(tmp_path, fixture_files, capsys)
         "split": ["--matrix", str(wd / "features.mat"), "--ratio", "0.75", "--seed", "3"],
         "balance": ["--matrix", str(wd / "train.mat"), "--k", "2", "--seed", "4"],
         "train": ["--config", str(cfg), "--matrix", str(wd / "balanced.mat"), "--epochs", "1",
-                  "--batch-size", "8", "--learning-rate", "0.002", "--lambda-l2", "0.0005",
+                  "--batch-size", "8", "--learning-rate", "0.002",
                   "--seed", "5"],
         "evaluate": ["--config", str(cfg), "--checkpoint", str(wd / "model.ckpt"),
                      "--matrix", str(wd / "test.mat"), "--threshold", "0.4"],

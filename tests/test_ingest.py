@@ -419,3 +419,16 @@ def test_read_cohort_refuses_a_row_of_another_width(tmp_path):
     path.write_text("accession\tsequence\tage\tgender\tclade\tlineage\tlabel\nEPI1\tMKV\t54\tmale\n")
     with pytest.raises(MetadataError, match="cohort.tsv:2: expected 7 fields"):
         read_cohort(path)
+
+
+@pytest.mark.parametrize(
+    "sequence, message",
+    [("MKXV", "non-canonical residues in sequence: ['X']"), ("", "empty sequence")],
+    ids=["non-canonical", "empty"],
+)
+def test_read_cohort_refuses_a_sequence_featurize_cannot_encode(tmp_path, sequence, message):
+    path = tmp_path / "cohort.tsv"
+    path.write_text(COHORT_HEADER_LINE + "A1\tMKV\t54\tmale\tGR\tP.1\tmild\n"
+                    + f"A2\t{sequence}\t61\tfemale\tGR\tP.1\tsevere\n")
+    with pytest.raises(MetadataError, match=re.escape(f"cohort.tsv:3: {message}")):
+        read_cohort(path)

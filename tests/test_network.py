@@ -85,7 +85,7 @@ class TestArchitectureAccounting:
 
     def test_dense_before_lstm_is_shape_error(self):
         with pytest.raises(ShapeError, match="dense"):
-            infer_shapes([Conv1DSpec(2, 4), DenseSpec(3)], 32)
+            infer_shapes([Conv1DSpec(2, 4), DenseSpec(3, "relu")], 32)
 
     def test_single_conv_param_examples(self):
         assert Network(16730, [Conv1DSpec(128, 4)]).param_count() == 640
@@ -501,8 +501,9 @@ class TestCheckpointLoaderRefuses:
             ),
             (lambda layers: layers[1].update(units="4"), "dense layer field 'units' is not a int"),
             (lambda layers: layers[1].update(units=0), "dense layer: dense units must be >= 1"),
+            (lambda layers: layers[1].update(activation="linear"), "dense layer: unknown activation 'linear'"),
         ],
-        ids=["unknown-type", "field-set", "field-type", "invalid-value"],
+        ids=["unknown-type", "field-set", "field-type", "invalid-value", "linear-activation"],
     )
     def test_layer_entry_refusal_names_the_file(self, tmp_path, edit, message):
         path = tmp_path / "m.ckpt"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from spikesev.scales import (
     ScalesRegistry,
     canonical_lines,
     default_registry,
-    load_registry,
     parse_registry,
 )
 
@@ -60,7 +60,7 @@ def test_content_hash_changes_iff_a_value_changes(registry):
 def test_write_then_load_round_trip(registry, tmp_path):
     path = tmp_path / "scales.tsv"
     path.write_text("\n".join(canonical_lines(registry)) + "\n", encoding="utf-8")
-    reloaded = load_registry(path)
+    reloaded = parse_registry(path.read_text(encoding="utf-8"))
     assert reloaded == registry
     assert reloaded.content_hash == registry.content_hash
 
@@ -68,7 +68,28 @@ def test_write_then_load_round_trip(registry, tmp_path):
 def test_comments_do_not_affect_the_hash(registry, tmp_path):
     path = tmp_path / "scales.tsv"
     path.write_text("# a comment\n" + "\n".join(canonical_lines(registry)) + "\n")
-    assert load_registry(path).content_hash == registry.content_hash
+    assert parse_registry(path.read_text(encoding="utf-8")).content_hash == registry.content_hash
+
+
+def _flat(lines, scale):
+    """`lines` with the value of every `scale` row set to 1.0."""
+    return [line.rsplit("\t", 1)[0] + "\t1.0" if line.startswith(scale + "\t") else line for line in lines]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [*lines, "hydrophobicity\tA\t99.0"], "line 79: repeated row hydrophobicity A (first on line 2)"),
+        (lambda lines: [lines[0], "hydrophobicity\tA\tnan", *lines[2:]], "line 2: expected a finite number, got 'nan'"),
+        (lambda lines: _flat(lines, "polarity"), "scale 'polarity' gives all 20 residues one value"),
+    ],
+    ids=["repeated-row", "nan", "flat-scale"],
+)
+def test_table_the_features_cannot_use_is_refused(registry, edit, message):
+    lines = canonical_lines(registry)
+    assert lines[1].startswith("hydrophobicity\tA\t") and len(lines) == 78
+    with pytest.raises(RegistryError, match=re.escape(message)):
+        parse_registry("\n".join(edit(lines)) + "\n")
 
 
 def test_missing_residue_is_rejected(registry):

@@ -37,10 +37,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda"):
-            TrainConfig(lambda_l2=-0.1)
-
     def test_zero_batch_rejected(self):
         with pytest.raises(ValueError, match="batch"):
             TrainConfig(batch_size=0)
@@ -49,10 +45,6 @@ class TestTrainConfig:
     def test_learning_rate_not_positive_finite_rejected(self, rate):
         with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
             TrainConfig(learning_rate=rate)
-
-    def test_nan_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda_l2 must be >= 0, got nan"):
-            TrainConfig(lambda_l2=float("nan"))
 
 
 class TestTrain:
@@ -255,7 +247,7 @@ class TestRandomSearch:
         config = TrainConfig(epochs=1, seed=0, batch_size=12)
         trials = random_search(
             SMALL_SPACE, 1, m, config, Architecture(), cv_k=2, smote_k=2,
-            fixed_trials=[{}],
+            include_default=True,
         )
         fixed = [t for t in trials if t.index == 0]
         assert fixed and fixed[0].hyperparams == {}
