@@ -224,17 +224,18 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
     wd = _workdir(cfg)
     m = dataset.read_matrix(args.matrix)
+    base = _arch_from_config(cfg)
     space = (
         _parse_file(cfg.search_space, training.parse_search_space)
         if cfg.search_space
-        else training.default_search_space()
+        else training.default_search_space(base)
     )
     trials = training.random_search(
         space,
         cfg.trials,
         m,
         _train_config(cfg),
-        _arch_from_config(cfg),
+        base,
         cv_k=cfg.cv_k,
         smote_k=cfg.smote_k,
         include_default=args.include_default,

@@ -292,6 +292,11 @@ def stratified_split(m: FeatureMatrix, ratio: float, seed: int) -> DatasetSplit:
     return DatasetSplit(train=m.take(train_idx), test=m.take(test_idx))
 
 
+def check_smote_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("smote_k must be >= 1")
+
+
 def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     """Balance classes by interpolating synthetic minority samples.
 
@@ -299,8 +304,7 @@ def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     one of its k nearest minority neighbours z (Euclidean) and lam ~ U[0, 1].
     The original rows come first, unchanged, then the synthetics.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_smote_k(k)
     counts = np.bincount(m.y, minlength=2)
     if counts[0] == counts[1]:
         return m

@@ -304,7 +304,9 @@ def sample_dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndar
 
 
 def dropout_forward(x: np.ndarray, rate: float, mask: np.ndarray) -> np.ndarray:
-    return x * mask / (1.0 - rate)
+    y = np.multiply(x, mask)
+    y /= 1.0 - rate
+    return y
 
 
 dropout_backward = dropout_forward

@@ -40,10 +40,11 @@ from .layers import (
 )
 
 BCE_EPSILON = 1e-7
-# Bytes of the widest layer output one inference batch may hold; a batch
-# takes as many rows as fit, and at least one. Much less than 64 MiB gives
-# paper-width batches of one or two rows, which the LSTM's per-step loop
-# makes slower.
+# Sets the rows of one inference batch: as many as would fit the widest layer
+# output into it, and at least one. The sequence layers hold one row at a
+# time, so it sizes the batch the LSTM and dense layers take. Much less than
+# 64 MiB gives paper-width batches of one or two rows, which the LSTM's
+# per-step loop makes slower.
 PREDICT_BATCH_BYTES = 64 << 20
 
 
@@ -137,6 +138,13 @@ class Network:
         `want_caches` it also returns the caches the backward pass needs
         (layer inputs, gate activations, masks); without, no layer's cache
         outlives the layer.
+
+        At inference without caches, the leading layers whose output is a
+        sequence (conv, pool, dropout) run one row at a time, each row's
+        result written into one (rows, length, channels) array that the
+        later layers take as one batch (Alwani et al. 2016, *Fused-Layer CNN
+        Accelerators*). Those layers treat rows alike, so the bytes are the
+        batched loop's, and no sequence output the size of a batch is made.
         """
         if x.ndim != 2 or x.shape[1] != self.input_length:
             raise ValueError(f"expected input (batch, {self.input_length}), got {x.shape}")
@@ -147,8 +155,20 @@ class Network:
             return sample_dropout_mask(rng, shape, rate)
 
         cur = x.astype(self.dtype, copy=False)[:, :, None]
+        layers = list(zip(self.specs, self.params))
+        if not (train or want_caches):
+            shapes = infer_shapes(self.specs, self.input_length)
+            n_seq = next((i for i, shape in enumerate(shapes) if len(shape) != 2), len(shapes))
+            if n_seq:
+                seq = np.empty((len(cur), *shapes[n_seq - 1]), dtype=self.dtype)
+                for i in range(len(cur)):
+                    row = cur[i : i + 1]
+                    for spec, params in layers[:n_seq]:
+                        row, _ = spec.forward(row, params, None)
+                    seq[i] = row[0]
+                cur, layers = seq, layers[n_seq:]
         caches = []
-        for spec, params in zip(self.specs, self.params):
+        for spec, params in layers:
             cur, cache = spec.forward(cur, params, mask_source if train else None)
             if want_caches:
                 caches.append(cache)
@@ -180,8 +200,10 @@ class Network:
                     layer_grads[key] = layer_grads[key] + 2.0 * lam * tensor
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode scores in [0, 1], one per row, in batches whose
-        widest layer output fits in PREDICT_BATCH_BYTES."""
+        """Inference-mode scores in [0, 1], one per row, in batches of as
+        many rows as the widest layer output fits in PREDICT_BATCH_BYTES.
+        Within a batch the sequence layers hold one row at a time, and the
+        LSTM and dense layers take the whole batch."""
         widest = max(math.prod(s) for s in infer_shapes(self.specs, self.input_length))
         rows = max(1, PREDICT_BATCH_BYTES // (widest * np.dtype(self.dtype).itemsize))
         scores = [

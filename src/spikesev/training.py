@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import FeatureMatrix, smote
+from .dataset import FeatureMatrix, check_smote_k, smote
 from .evaluation import evaluate_scores
 from .network import (
     LAMBDA_L2,
@@ -251,18 +251,17 @@ def _number(token: str, value_type: type) -> int | float:
     return value
 
 
-def default_search_space() -> SearchSpace:
+def default_search_space(base: Architecture) -> SearchSpace:
+    """The built-in domains, with `conv{i}_filters` and `dense{i}_units`
+    only for the stages `base` has, so every draw builds on it."""
+    conv = ((64, 96, 128, 160), (32, 48, 64, 96), (32, 48, 64, 96), (16, 24, 32))
+    dense = ((32, 64, 96), (16, 32, 48), (8, 16, 24))
     return {
-        "conv1_filters": Choice((64, 96, 128, 160)),
-        "conv2_filters": Choice((32, 48, 64, 96)),
-        "conv3_filters": Choice((32, 48, 64, 96)),
-        "conv4_filters": Choice((16, 24, 32)),
+        **{f"conv{i}_filters": Choice(v) for i, v in enumerate(conv[: len(base.conv_filters)], 1)},
+        **{f"dense{i}_units": Choice(v) for i, v in enumerate(dense[: len(base.dense_units)], 1)},
         "kernel_size": Choice((3, 4, 5, 6)),
         "dropout_rate": Range(0.05, 0.3),
         "lstm_units": Choice((32, 48, 64, 96)),
-        "dense1_units": Choice((32, 64, 96)),
-        "dense2_units": Choice((16, 32, 48)),
-        "dense3_units": Choice((8, 16, 24)),
         "learning_rate": Range(1e-4, 1e-2, "log"),
     }
 
@@ -357,10 +356,12 @@ def random_search(
     scored by cross-validation; ranked by mean F1 descending with smaller
     parameter count breaking ties. With `include_default`, `base` itself,
     with nothing sampled, is trial 0. Trials whose sampled stack cannot be
-    built or fails shape inference are recorded as failed; a `base`, `cv_k`
-    or label vector that no trial could use raises ValueError first."""
+    built or fails shape inference are recorded as failed; a `base`, `cv_k`,
+    `smote_k` or label vector that no trial could use raises ValueError
+    first."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    check_smote_k(smote_k)
     base.specs()
     stratified_folds(m.y, cv_k, config.seed)
     rng = np.random.default_rng(config.seed)

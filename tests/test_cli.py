@@ -420,14 +420,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "setting, message",
-        [(["--k", "1"], "k must be >= 2"), (["--config", "bad.cfg"], "conv filters and kernel must be >= 1")],
-        ids=["k-1", "conv-filters-0"],
+        [
+            (["--k", "1"], "k must be >= 2"),
+            (["--config", "bad.cfg"], "conv filters and kernel must be >= 1"),
+            (["--config", "smote.cfg"], "smote_k must be >= 1"),
+        ],
+        ids=["k-1", "conv-filters-0", "smote-k-0"],
     )
     def test_search_refuses_a_bad_setting_before_any_trial(self, tmp_path, setting, message, monkeypatch,
                                                            capsys):
         dataset.write_matrix(dataset.FeatureMatrix(*separable_blobs(n=20, length=64, seed=1), ["-"] * 20),
                              tmp_path / "x.mat")
         (tmp_path / "bad.cfg").write_text("conv_filters = 0,4\n")
+        (tmp_path / "smote.cfg").write_text("smote_k = 0\n")
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("spikesev.training.cross_validate", lambda *a, **k: pytest.fail("a trial ran"))
         code = main(["search", "--matrix", "x.mat", "--trials", "1", "--epochs", "1", *setting, "--workdir", "w"])

@@ -598,7 +598,8 @@ class TestAgainstReferenceKernels:
 
 
 def test_one_channel_conv_forward_holds_at_most_two_outputs():
-    """The output plus one tap's product: conv1's output sets the inference peak."""
+    """The output plus one tap's product. Inference calls it on one row at
+    a time, so at inference it holds about two rows' output."""
     rng = np.random.default_rng(9)
     x = rng.normal(size=(4, 3000, 1)).astype(np.float32)
     w = rng.normal(size=(6, 1, 16)).astype(np.float32)

@@ -218,6 +218,56 @@ class TestPredictBatching:
         assert peak <= 2 * budget, (peak, budget)
 
 
+class TestRowwiseInference:
+    """At inference the leading sequence layers run one row at a time; the
+    bytes are those of the batched loop that `want_caches` keeps."""
+
+    STACKS = {
+        "stock-64": (64, None),
+        "stock-2091": (2091, None),
+        "scaled-40": (40, scaled_stack(n_stages=2, filters=5, lstm_units=6, dense_units=7)),
+        "no-conv-stage": (40, [LSTMSpec(6), DenseSpec(5, "relu"), DropoutSpec(0.2), DenseSpec(1, "sigmoid")]),
+    }
+
+    @pytest.mark.parametrize("rows", [1, 3, 62])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_same_bytes_as_the_batched_forward(self, stack, dtype, rows):
+        width, specs = self.STACKS[stack]
+        net = Network(width, specs, seed=4, dtype=dtype)
+        x = np.random.default_rng(rows).normal(size=(rows, width)).astype(np.float32)
+        got = net.forward(x)
+        want = net.forward(x, want_caches=True)[0]
+        assert got.dtype == want.dtype and got.shape == want.shape == (rows, 1)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_no_rows_give_no_scores(self, stack):
+        width, specs = self.STACKS[stack]
+        net = Network(width, specs, seed=4)
+        assert net.forward(np.zeros((0, width), dtype=np.float32)).shape == (0, 1)
+
+    def test_stack_of_sequence_layers_only(self):
+        net = Network(30, [Conv1DSpec(3, 4), DropoutSpec(0.3)], seed=1)
+        x = np.random.default_rng(0).normal(size=(5, 30)).astype(np.float32)
+        got = net.forward(x)
+        assert got.shape == (5, 27, 3)
+        assert got.tobytes() == net.forward(x, want_caches=True)[0].tobytes()
+
+    def test_predict_peak_is_a_few_rows_not_the_batch(self, monkeypatch):
+        net = Network(2091, seed=0)
+        row_bytes = _widest_row_bytes(net)
+        monkeypatch.setattr(network_module, "PREDICT_BATCH_BYTES", 16 * row_bytes)
+        x = np.random.default_rng(3).normal(size=(20, 2091)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            net.predict_scores(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * row_bytes, peak / row_bytes
+
+
 class TestLoss:
     def test_perfect_prediction_zero_loss(self, tiny_net):
         assert bce_l2_one_row(1.0 - 1e-9, 1, tiny_net, 0.0) == pytest.approx(0.0, abs=1e-6)

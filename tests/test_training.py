@@ -356,11 +356,35 @@ class TestSearchSpaceParsing:
 
     def test_default_space_samples_build_valid_models(self):
         rng = np.random.default_rng(0)
-        space = default_search_space()
+        space = default_search_space(Architecture())
         for _ in range(10):
             hp = sample_hyperparams(space, rng)
             specs = specs_from_hyperparams(hp, Architecture())
             assert specs  # every sampled stack is constructible
+
+    def test_default_space_of_the_stock_stack_keeps_its_draws(self):
+        # a seeded draw of the stock space, pinned: trials.tsv's bytes follow it
+        space = default_search_space(Architecture())
+        assert sample_hyperparams(space, np.random.default_rng(7)) == {
+            "conv1_filters": 160, "conv2_filters": 64, "conv3_filters": 64, "conv4_filters": 32,
+            "dense1_units": 64, "dense2_units": 48, "dense3_units": 24,
+            "dropout_rate": 0.12504157122780635, "kernel_size": 3,
+            "learning_rate": 0.005586076652115127, "lstm_units": 96,
+        }
+
+    @pytest.mark.parametrize(
+        "base",
+        [Architecture(conv_filters=(4,)), Architecture(conv_filters=(4, 3), dense_units=(6,)),
+         Architecture(dense_units=())],
+        ids=["one-conv-stage", "two-conv-one-dense", "no-dense"],
+    )
+    def test_default_space_only_names_stages_the_base_has(self, base):
+        space = default_search_space(base)
+        assert sum(name.startswith("conv") for name in space) == len(base.conv_filters)
+        assert sum(name.startswith("dense") for name in space) == len(base.dense_units)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            Network(200, specs_from_hyperparams(sample_hyperparams(space, rng), base))
 
     def test_stock_defaults_build_the_default_stack(self):
         assert specs_from_hyperparams({}, Architecture()) == Architecture().specs()
