@@ -11,6 +11,7 @@ are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -107,8 +108,7 @@ class _Reader:
         name = self.text("tensor name")
         (ndim,) = struct.unpack("<B", self.take(1))
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
+        data = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         return name, data.astype(np.float32)
 
 

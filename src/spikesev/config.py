@@ -29,7 +29,7 @@ _COMMENT = re.compile(r"(?<!\S)#")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return tuple(int(tok) for tok in text.split(",")) if text else ()
 
 
 @dataclass

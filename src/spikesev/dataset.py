@@ -169,17 +169,20 @@ def _covariate_offsets(codebook: CovariateCodebook) -> list[tuple[str, dict[str,
     return offsets
 
 
+def _check_model_length(n_model: int, codebook: CovariateCodebook) -> None:
+    if n_model - codebook.width < GLOBAL_DESCRIPTOR_LENGTH:
+        raise ValueError(
+            f"model length too small: need at least {GLOBAL_DESCRIPTOR_LENGTH + codebook.width}, got {n_model}"
+        )
+
+
 def _fill_rows(
     x: np.ndarray, records: Sequence[SpikeRecord], registry: ScalesRegistry, codebook: CovariateCodebook
 ) -> int:
     """Write the `featurize` row of each record into the float32 rows of `x`,
-    every slot of them; return the number of truncated residue blocks."""
-    n_model, width = x.shape[1], codebook.width
-    head = n_model - width
-    if head < GLOBAL_DESCRIPTOR_LENGTH:
-        raise ValueError(
-            f"model length too small: need at least {GLOBAL_DESCRIPTOR_LENGTH + width}, got {n_model}"
-        )
+    every slot of them, whose width `_check_model_length` has passed; return
+    the number of truncated residue blocks."""
+    head = x.shape[1] - codebook.width
     offsets = _covariate_offsets(codebook)
     truncated = 0
     for row, record in zip(x, records):
@@ -209,6 +212,7 @@ def featurize(
     weighted residue table, and each covariate is a 1.0 at its codebook
     offset. A residue block that does not fit is truncated at the tail.
     """
+    _check_model_length(n_model, codebook)
     x = np.empty((len(records), n_model), dtype=np.float32)
     truncated = _fill_rows(x, records, registry, codebook)
     labels = [LABEL_OF[r.label] for r in records]
@@ -236,6 +240,7 @@ def write_features(
     """`write_matrix(featurize(records, registry, codebook, n_model)[0], path)`,
     with the rows filled one reused block at a time, so the matrix is never
     held whole; return the number of truncated records."""
+    _check_model_length(n_model, codebook)
     truncated = []
 
     def fill(part: np.ndarray, start: int) -> None:
@@ -292,9 +297,14 @@ def stratified_split(m: FeatureMatrix, ratio: float, seed: int) -> DatasetSplit:
     return DatasetSplit(train=m.take(train_idx), test=m.take(test_idx))
 
 
-def check_smote_k(k: int) -> None:
+def check_smote(y: np.ndarray, k: int) -> None:
+    """Every precondition of `smote` with `k` on labels `y`: k >= 1, and at
+    least two minority rows unless the classes are equal."""
     if k < 1:
         raise ValueError("smote_k must be >= 1")
+    counts = np.bincount(y, minlength=2)
+    if counts[0] != counts[1] and counts.min() < 2:
+        raise ValueError("SMOTE requires >=2 minority samples")
 
 
 def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
@@ -304,14 +314,12 @@ def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     one of its k nearest minority neighbours z (Euclidean) and lam ~ U[0, 1].
     The original rows come first, unchanged, then the synthetics.
     """
-    check_smote_k(k)
+    check_smote(m.y, k)
     counts = np.bincount(m.y, minlength=2)
     if counts[0] == counts[1]:
         return m
     minority = 0 if counts[0] < counts[1] else 1
     n_min, n_maj = int(counts[minority]), int(counts[1 - minority])
-    if n_min < 2:
-        raise ValueError("SMOTE requires >=2 minority samples")
     k = min(k, n_min - 1)
 
     minority_rows = m.x[m.y == minority].astype(np.float64)

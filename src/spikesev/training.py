@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import FeatureMatrix, check_smote_k, smote
+from .dataset import FeatureMatrix, check_smote, smote
 from .evaluation import evaluate_scores
 from .network import (
     LAMBDA_L2,
@@ -214,28 +214,20 @@ SearchSpace = dict[str, Choice | Range]
 # `conv{i}_filters` / `dense{i}_units` for element i (1-based) of
 # `conv_filters` / `dense_units`: the index goes before the first underscore.
 _ELEMENT_NAME = re.compile(r"([a-z]+)([1-9][0-9]*)_(\w+)")
-_ARCH_DEFAULTS = {f.name: f.default for f in fields(Architecture)}
+_STOCK = {f.name: f.default for f in fields(Architecture)} | {"learning_rate": TrainConfig.learning_rate}
 
 
-def _architecture_target(name: str) -> tuple[str, int | None]:
-    """The `Architecture` field a search name sets, and the 0-based tuple
-    element for an indexed name; ValueError for any other name."""
+def _search_target(name: str) -> tuple[str, int | None, type]:
+    """The field a search name sets, the 0-based tuple element for an
+    indexed name, and the type (int or float) of the stock value it
+    replaces; ValueError for any other name."""
     m = _ELEMENT_NAME.fullmatch(name)
-    if m and isinstance(_ARCH_DEFAULTS.get(f"{m[1]}_{m[3]}"), tuple):
-        return f"{m[1]}_{m[3]}", int(m[2]) - 1
-    if name in _ARCH_DEFAULTS and not isinstance(_ARCH_DEFAULTS[name], tuple):
-        return name, None
+    if m and isinstance(_STOCK.get(f"{m[1]}_{m[3]}"), tuple):
+        field_name = f"{m[1]}_{m[3]}"
+        return field_name, int(m[2]) - 1, type(_STOCK[field_name][0])
+    if name in _STOCK and not isinstance(_STOCK[name], tuple):
+        return name, None, type(_STOCK[name])
     raise ValueError(f"unknown hyperparameter {name!r}")
-
-
-def _value_type(name: str) -> type:
-    """int or float: the type of the stock value a search name replaces
-    (an indexed name takes its tuple's element type, whatever the index)."""
-    if name == "learning_rate":
-        return float
-    field_name, index = _architecture_target(name)
-    default = _ARCH_DEFAULTS[field_name]
-    return type(default if index is None else default[0])
 
 
 def _number(token: str, value_type: type) -> int | float:
@@ -287,7 +279,7 @@ def parse_search_space(text: str) -> SearchSpace:
                 raise ValueError(f"repeated name {name!r}")
             if kind not in ("choice", *RANGE_KINDS):
                 raise ValueError(f"unknown domain kind {kind!r}")
-            value_type = _value_type(name)
+            value_type = _search_target(name)[2]
             if kind == "choice":
                 space[name] = Choice(tuple(_number(a, value_type) for a in args))
             elif value_type is int and kind != "int":
@@ -313,21 +305,17 @@ def specs_from_hyperparams(hp: dict, base: Architecture) -> list[LayerSpec]:
     """`base` with every architecture value in `hp` put in; an indexed
     name replaces that element of base's tuple. ValueError for an index
     base's stack does not have."""
-    values = {name: getattr(base, name) for name in _ARCH_DEFAULTS}
+    changes = {}
     for name, value in hp.items():
-        if name == "learning_rate":
-            continue
-        field_name, index = _architecture_target(name)
-        if index is None:
-            values[field_name] = value
-        elif index < len(values[field_name]):
-            old = values[field_name]
-            values[field_name] = old[:index] + (value,) + old[index + 1 :]
-        else:
-            raise ValueError(
-                f"{name}: the configured {field_name} has only {len(values[field_name])} entries"
-            )
-    return Architecture(**values).specs()
+        field_name, index, _ = _search_target(name)
+        if index is not None:
+            old = changes.get(field_name, getattr(base, field_name))
+            if index >= len(old):
+                raise ValueError(f"{name}: the configured {field_name} has only {len(old)} entries")
+            value = old[:index] + (value,) + old[index + 1 :]
+        changes[field_name] = value
+    changes.pop("learning_rate", None)
+    return replace(base, **changes).specs()
 
 
 @dataclass
@@ -361,9 +349,15 @@ def random_search(
     first."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    check_smote_k(smote_k)
+    check_smote(m.y, smote_k)  # before the folds, so a bad smote_k is not put down to cv_k
     base.specs()
-    stratified_folds(m.y, cv_k, config.seed)
+    # Each class's share of each fold is fixed by the round-robin deal, not
+    # by the seed, so these folds stand for every trial's.
+    for train_idx, _ in stratified_folds(m.y, cv_k, config.seed):
+        try:
+            check_smote(m.y[train_idx], smote_k)
+        except ValueError as exc:
+            raise ValueError(f"cv_k={cv_k} leaves a training fold that SMOTE cannot balance: {exc}") from None
     rng = np.random.default_rng(config.seed)
     all_hp = ([{}] if include_default else []) + [sample_hyperparams(space, rng) for _ in range(n_trials)]
     width = m.x.shape[1]

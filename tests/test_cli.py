@@ -193,6 +193,19 @@ class TestExitCodes:
         assert code == 2
         assert "model length too small" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_featurize_width_below_one_is_refused_before_writing(self, tmp_path, fixture_files, width, capsys):
+        fasta, meta, _ = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        capsys.readouterr()
+        code = main(["featurize", "--cohort", str(wd / "cohort.tsv"), "--workdir", str(wd), "--n-model", width])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model length too small: need at least ") and err.count("\n") == 1
+        assert err.endswith(f", got {width}\n")
+        assert not {"features.mat", "features.mat.tmp", "codebook.tsv"} & {p.name for p in wd.iterdir()}
+
     def test_stats_on_empty_cohort(self, tmp_path, capsys):
         write_cohort([], tmp_path / "empty.tsv")
         assert main(["stats", "--cohort", str(tmp_path / "empty.tsv")]) == 2
@@ -438,6 +451,20 @@ class TestExitCodes:
         code = main(["search", "--matrix", "x.mat", "--trials", "1", "--epochs", "1", *setting, "--workdir", "w"])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "w" / "trials.tsv").exists()
+
+    def test_search_refuses_a_fold_smote_cannot_balance_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        # --k 2 deals the two class-0 rows one to each fold, so each training
+        # part holds one class-0 row against four class-1 rows
+        x, _ = separable_blobs(n=10, length=64, seed=1)
+        dataset.write_matrix(dataset.FeatureMatrix(x, [0, 0] + [1] * 8, ["-"] * 10), tmp_path / "x.mat")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("spikesev.training.cross_validate", lambda *a, **k: pytest.fail("a trial ran"))
+        code = main(["search", "--matrix", "x.mat", "--trials", "1", "--epochs", "1", "--k", "2", "--workdir", "w"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cv_k=2 leaves a training fold that SMOTE cannot balance: SMOTE requires >=2 minority samples\n"
+        )
         assert not (tmp_path / "w" / "trials.tsv").exists()
 
     @pytest.mark.parametrize("which", ["fasta", "metadata", "registry", "search-space", "codebook"])
@@ -1075,6 +1102,21 @@ class TestConfigFile:
         resolved = tmp_path / "run.cfg"
         resolved.write_text(cfg.resolved_lines())
         assert load_config(str(resolved), {}).registry == value
+
+    @pytest.mark.parametrize("value", ["4,,4", ",4,"])
+    def test_list_with_an_empty_element_is_refused(self, tmp_path, value, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"conv_filters = {value}\n")
+        with pytest.raises(ConfigError, match=f"^bad value for conv_filters: {re.escape(repr(value))} "):
+            load_config(str(cfg), {})
+        assert main(["gradcheck", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad value for conv_filters: {value!r} ")
+
+    def test_empty_list_loads_back_as_no_stages(self, tmp_path):
+        resolved = tmp_path / "run.cfg"
+        resolved.write_text(load_config(None, {"dense_units": ""}).resolved_lines())
+        assert "\ndense_units = \n" in resolved.read_text()
+        assert load_config(str(resolved), {}).dense_units == ()
 
     def test_ingest_with_an_unwritable_workdir_creates_nothing(self, tmp_path, fixture_files,
                                                                  monkeypatch, capsys):

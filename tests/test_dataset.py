@@ -13,6 +13,7 @@ from spikesev.dataset import (
     FeatureMatrix,
     MatrixFormatError,
     assemble,
+    check_smote,
     encode_covariates,
     featurize,
     fit_codebook,
@@ -350,6 +351,26 @@ class TestSmote:
     def test_minority_too_small(self):
         with pytest.raises(ValueError, match="minority"):
             smote(_matrix(5, 1), k=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "n0, n1, k",
+        [(3, 3, 2), (1, 1, 5), (0, 4, 2), (4, 1, 2), (2, 5, 3), (5, 2, 1), (4, 4, 0), (2, 5, 0)],
+        ids=["equal", "equal-1", "minority-0", "minority-1", "minority-2", "minority-2-k-1", "equal-k-0",
+             "k-0"],
+    )
+    def test_check_smote_refuses_exactly_what_smote_refuses(self, n0, n1, k):
+        m = _matrix(n0, n1)
+
+        def outcome(call):
+            try:
+                call()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        refused = outcome(lambda: check_smote(m.y, k))
+        assert refused == outcome(lambda: smote(m, k=k, seed=0))
+        assert (refused is None) == (k >= 1 and (n0 == n1 or min(n0, n1) >= 2))
 
     def test_deterministic(self):
         m = _matrix(12, 5, dim=4)

@@ -494,6 +494,17 @@ class TestCheckpointLoaderRefuses:
         with pytest.raises(CheckpointError, match="'m/3/w' has shape"):
             load_checkpoint(path)
 
+    def test_tensor_whose_shape_product_overflows_int64(self, tmp_path):
+        # 2**22 * 2**21 * 2**21 = 2**64, which np.prod wraps to a count of 0
+        path = tmp_path / "m.ckpt"
+        blob = _twin_dense_checkpoint(path)
+        header = _name_block("0/b") + b"\x01" + struct.pack("<I", 16)
+        assert blob.index(header) < blob.index(_name_block("0/u"))  # the first tensor
+        overflowing = _name_block("0/b") + b"\x03" + struct.pack("<3I", 2**22, 2**21, 2**21)
+        path.write_bytes(blob.replace(header, overflowing, 1))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: truncated checkpoint$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("with_optimizer", [False, True])
     def test_optimizer_flag_other_than_0_or_1(self, tiny_net, tmp_path, with_optimizer):
         path = tmp_path / "m.ckpt"
