@@ -27,14 +27,17 @@ EXIT_INPUT_ERROR = 2
 # OSError covers a path that is missing, a directory, or not a directory.
 _INPUT_ERRORS = (ValueError, OSError)
 
+# A handler's exit code and the lines it adds to its `<command>.resolved.cfg`.
+Outcome = tuple[int, dict[str, str]]
+
 
 def _parse_file(path: str, parse):
-    """`parse` applied to the UTF-8 text of `path`, read with no newline
-    translation (a line break inside a quoted metadata cell reaches `csv`,
-    which rules on it); a ValueError, from the decoding or from `parse`,
-    is raised again naming the file."""
+    """`parse` applied to the UTF-8 text of `path`, less a leading byte-order
+    mark, read with no newline translation (a line break inside a quoted
+    metadata cell reaches `csv`, which rules on it); a ValueError, from the
+    decoding or from `parse`, is raised again naming the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return parse(fh.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -42,16 +45,6 @@ def _parse_file(path: str, parse):
 
 def _load_registry(cfg: RunConfig) -> ScalesRegistry:
     return _parse_file(cfg.registry, parse_registry) if cfg.registry else default_registry()
-
-
-def _workdir(cfg: RunConfig) -> Path:
-    wd = Path(cfg.workdir)
-    wd.mkdir(parents=True, exist_ok=True)
-    return wd
-
-
-def _write_resolved(cfg: RunConfig, wd: Path, command: str, extra: dict[str, str] | None = None):
-    (wd / f"{command}.resolved.cfg").write_text(cfg.resolved_lines(extra), encoding="utf-8")
 
 
 def _detect_delimiter(path: str, text: str) -> str:
@@ -83,10 +76,10 @@ def _arch_from_config(cfg: RunConfig) -> Architecture:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the resolved config and the parsed arguments
+# subcommands: each takes the resolved config, the parsed arguments and the
+# workdir `main` has made, and writes its outputs there; `main` writes the record
 
-def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
-    wd = _workdir(cfg)
+def cmd_ingest(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     fasta_records, rejects = _parse_file(args.fasta, ingest.parse_fasta)
     rows = _parse_file(
         args.metadata, lambda text: ingest.parse_metadata(text, _detect_delimiter(args.metadata, text))
@@ -95,29 +88,25 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     ingest.write_cohort(cohort, wd / "cohort.tsv")
     report_text = report.to_tsv() + f"invalid sequences\t{len(rejects)}\n"
     (wd / "exclusion_report.tsv").write_text(report_text, encoding="utf-8")
-    _write_resolved(cfg, wd, "ingest")
     for reject in rejects:
         print(f"warning: sequence {reject.record_id!r} excluded ({reject.reason})", file=sys.stderr)
     if not cohort:
         print("warning: empty cohort after filtering", file=sys.stderr)
     print(f"retained {report.retained} of {report.retained + report.excluded} metadata rows")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_stats(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     records = ingest.read_cohort(args.cohort)
     text = ingest.cohort_stats(records).to_tsv()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if args.workdir is not None:
-        _write_resolved(cfg, _workdir(cfg), "stats")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_featurize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    wd = _workdir(cfg)
+def cmd_featurize(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     registry = _load_registry(cfg)
     records = ingest.read_cohort(args.cohort)
     if not records:
@@ -126,36 +115,27 @@ def cmd_featurize(cfg: RunConfig, args: argparse.Namespace) -> int:
     truncated = dataset.write_features(records, registry, codebook, cfg.n_model, wd / "features.mat")
     _warn_truncated(truncated)
     (wd / "codebook.tsv").write_text(codebook.to_text(registry.content_hash), encoding="utf-8")
-    _write_resolved(
-        cfg, wd, "featurize",
-        {"registry_hash": registry.content_hash, "truncated_records": str(truncated)},
-    )
     print(f"featurized {len(records)} records at width {cfg.n_model}")
-    return EXIT_OK
+    return EXIT_OK, {"registry_hash": registry.content_hash, "truncated_records": str(truncated)}
 
 
-def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
-    wd = _workdir(cfg)
+def cmd_split(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     train_idx, test_idx = dataset.write_split(
         args.matrix, cfg.ratio, cfg.split_seed, wd / "train.mat", wd / "test.mat"
     )
-    _write_resolved(cfg, wd, "split")
     print(f"split {len(train_idx) + len(test_idx)} rows into {len(train_idx)} train / {len(test_idx)} test")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
-    wd = _workdir(cfg)
+def cmd_balance(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     m = dataset.read_matrix(args.matrix)
     balanced = dataset.smote(m, k=cfg.smote_k, seed=cfg.smote_seed)
     dataset.write_matrix(balanced, wd / "balanced.mat")
-    _write_resolved(cfg, wd, "balance")
     print(f"balanced {len(m)} rows to {len(balanced)}")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
-    wd = _workdir(cfg)
+def cmd_train(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     registry = _load_registry(cfg)
     m = dataset.read_matrix(args.matrix)
     validation = None
@@ -166,18 +146,16 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     logs, optimizer = training.train(net, m.x, m.y, _train_config(cfg), validation)
     ckpt.save_checkpoint(net, wd / "model.ckpt", registry.content_hash, optimizer)
     (wd / "epochs.tsv").write_text(training.epoch_logs_tsv(logs), encoding="utf-8")
-    _write_resolved(cfg, wd, "train", {"registry_hash": registry.content_hash})
     last = logs[-1]
     print(
         f"trained {len(logs)} epochs; final loss {last.train_loss:.6f}, "
         f"accuracy {last.train_accuracy:.6f} ({net.param_count()} parameters)"
     )
-    return EXIT_OK
+    return EXIT_OK, {"registry_hash": registry.content_hash}
 
 
-def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     evaluation.check_threshold(cfg.threshold)
-    wd = _workdir(cfg)
     registry = _load_registry(cfg)
     net, _, _ = ckpt.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
     m = dataset.read_matrix(args.matrix)
@@ -190,14 +168,12 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     (wd / "report.tsv").write_text(header + evaluation.report_tsv(report), encoding="utf-8")
     (wd / "confusion.tsv").write_text(report.confusion.to_tsv(), encoding="utf-8")
     (wd / "report.txt").write_text(evaluation.report_text(report), encoding="utf-8")
-    _write_resolved(cfg, wd, "evaluate", {"registry_hash": registry.content_hash})
     sys.stdout.write(evaluation.report_text(report))
-    return EXIT_OK
+    return EXIT_OK, {"registry_hash": registry.content_hash}
 
 
-def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     evaluation.check_threshold(cfg.threshold)
-    wd = _workdir(cfg)
     registry = _load_registry(cfg)
     net, _, _ = ckpt.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
     codebook, codebook_hash = _parse_file(args.codebook, dataset.CovariateCodebook.from_text)
@@ -216,13 +192,11 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         name = "mild" if label == 1 else "severe"
         lines.append(f"{record.accession_id}\t{score:.6f}\t{label}\t{name}")
     (wd / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_resolved(cfg, wd, "predict", {"registry_hash": registry.content_hash})
     print(f"scored {len(records)} records at threshold {cfg.threshold}")
-    return EXIT_OK
+    return EXIT_OK, {"registry_hash": registry.content_hash}
 
 
-def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
-    wd = _workdir(cfg)
+def cmd_search(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     m = dataset.read_matrix(args.matrix)
     base = _arch_from_config(cfg)
     space = (
@@ -241,31 +215,29 @@ def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
         include_default=args.include_default,
     )
     (wd / "trials.tsv").write_text(training.trials_tsv(trials), encoding="utf-8")
-    _write_resolved(cfg, wd, "search")
     best = trials[0]
-    if best.status == "ok":
-        print(f"best trial {best.index}: mean F1 {best.mean_f1:.4f} with {best.hyperparams}")
-    else:
+    if best.status != "ok":
         print("no trial completed successfully", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        return EXIT_CHECK_FAILED, {}
+    print(f"best trial {best.index}: mean F1 {best.mean_f1:.4f} with {best.hyperparams}")
+    return EXIT_OK, {}
 
 
-def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
     results, passed = run_gradient_checks(seed=cfg.train_seed)
-    if args.workdir is not None:
-        _write_resolved(cfg, _workdir(cfg), "gradcheck")
     for r in results:
         print(f"{r.tensor}\t{r.rel_error:.3e}\t{'PASS' if r.passed else 'FAIL'}")
     print("gradient check:", "PASS" if passed else "FAIL")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return (EXIT_OK if passed else EXIT_CHECK_FAILED), {}
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(sub: argparse.ArgumentParser, handler) -> None:
-    sub.set_defaults(handler=handler)
+def _add_common(sub: argparse.ArgumentParser, handler, writes_workdir: bool = True) -> None:
+    """`writes_workdir=False`: the command writes nothing into the workdir, so
+    `main` makes it and writes the record only when `--workdir` is given."""
+    sub.set_defaults(handler=handler, writes_workdir=writes_workdir)
     sub.add_argument("--config", help="flat key=value configuration file")
     sub.add_argument("--workdir", help="output directory (all files are written here)")
 
@@ -283,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metadata", required=True)
 
     p = sub.add_parser("stats", help="cohort frequency tables and mean ages")
-    _add_common(p, cmd_stats)
+    _add_common(p, cmd_stats, writes_workdir=False)
     p.add_argument("--cohort", required=True)
     p.add_argument("--out")
 
@@ -338,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score the configured architecture as a fixed first trial")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common(p, cmd_gradcheck)
+    _add_common(p, cmd_gradcheck, writes_workdir=False)
     p.add_argument("--seed", dest="train_seed")
 
     return parser
@@ -356,9 +328,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Make the workdir, run the command, then write `<command>.resolved.cfg`
+    on whatever exit code the command returns; a refused input raises and
+    leaves no record."""
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(_config_from_args(args), args)
+        cfg = _config_from_args(args)
+        wd = Path(cfg.workdir)
+        record = args.writes_workdir or args.workdir is not None
+        if record:
+            wd.mkdir(parents=True, exist_ok=True)
+        code, extra = args.handler(cfg, args, wd)
+        if record:
+            (wd / f"{args.command}.resolved.cfg").write_text(cfg.resolved_lines(extra), encoding="utf-8")
+        return code
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -103,7 +103,7 @@ class RunConfig:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     linenos: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue

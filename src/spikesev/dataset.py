@@ -30,6 +30,9 @@ COVARIATE_FIELDS = ("gender", "age", "clade", "lineage")
 
 MATRIX_MAGIC = b"SSEVMAT1"
 
+# The most columns the u32 column count of the matrix header holds.
+MATRIX_MAX_COLS = 2**32 - 1
+
 # Bytes of the one reused row block through which `write_features` and
 # `write_split` stream a matrix to disk.
 MATRIX_BLOCK_BYTES = 16 << 20
@@ -174,6 +177,9 @@ def _check_model_length(n_model: int, codebook: CovariateCodebook) -> None:
         raise ValueError(
             f"model length too small: need at least {GLOBAL_DESCRIPTOR_LENGTH + codebook.width}, got {n_model}"
         )
+    if n_model > MATRIX_MAX_COLS:
+        raise ValueError(f"model length too large: a feature matrix holds at most {MATRIX_MAX_COLS} columns, "
+                         f"got {n_model}")
 
 
 def _fill_rows(

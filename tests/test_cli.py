@@ -206,6 +206,19 @@ class TestExitCodes:
         assert err.endswith(f", got {width}\n")
         assert not {"features.mat", "features.mat.tmp", "codebook.tsv"} & {p.name for p in wd.iterdir()}
 
+    def test_featurize_width_the_matrix_header_cannot_hold_is_refused(self, tmp_path, fixture_files, capsys):
+        fasta, meta, _ = fixture_files
+        wd = tmp_path / "w"
+        main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(wd)])
+        capsys.readouterr()
+        code = main(["featurize", "--cohort", str(wd / "cohort.tsv"), "--workdir", str(wd),
+                     "--n-model", str(2**32)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: model length too large: a feature matrix holds at most 4294967295 columns, got 4294967296\n"
+        )
+        assert not {"features.mat", "features.mat.tmp", "codebook.tsv"} & {p.name for p in wd.iterdir()}
+
     def test_stats_on_empty_cohort(self, tmp_path, capsys):
         write_cohort([], tmp_path / "empty.tsv")
         assert main(["stats", "--cohort", str(tmp_path / "empty.tsv")]) == 2
@@ -565,7 +578,7 @@ class TestExitCodes:
         assert f"error: {meta}: line 2, column 'clade': tab or line break in " in capsys.readouterr().err
         assert not (tmp_path / "w" / "cohort.tsv").exists()
 
-    @pytest.mark.parametrize("stage", ["split", "ingest", "gradcheck"])
+    @pytest.mark.parametrize("stage", ["split", "ingest", "stats", "gradcheck"])
     def test_a_path_of_the_wrong_kind_is_input_error(self, tmp_path, fixture_files, stage, capsys):
         """A directory named where a file is read, or a file named as the
         workdir: exit 2 with one error line, and no file is written."""
@@ -576,8 +589,12 @@ class TestExitCodes:
         argv = {
             "split": ["split", "--matrix", str(a_dir), "--workdir", str(wd)],
             "ingest": ["ingest", "--fasta", str(fasta), "--metadata", str(a_dir), "--workdir", str(wd)],
+            "stats": ["stats", "--cohort", str(a_dir / "cohort.tsv"), "--workdir", str(fasta)],
             "gradcheck": ["gradcheck", "--workdir", str(fasta)],
         }[stage]
+        if stage == "stats":  # a readable cohort, so only the workdir is wrong
+            assert main(["ingest", "--fasta", str(fasta), "--metadata", str(meta), "--workdir", str(a_dir)]) == 0
+            capsys.readouterr()
 
         def files():
             return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
@@ -611,6 +628,21 @@ class TestExitCodes:
                          "--workdir", str(tmp_path / name)]) == 0
         for output in ("cohort.tsv", "exclusion_report.tsv"):
             assert (tmp_path / "crlf" / output).read_bytes() == (tmp_path / "lf" / output).read_bytes()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("marked", ["fasta", "metadata"])
+    def test_byte_order_mark_changes_no_ingest_byte(self, tmp_path, fixture_files, marked, capsys):
+        """A UTF-8 byte-order mark, as spreadsheet tools write, is not part of
+        the first header or column name."""
+        fasta, meta, _ = fixture_files
+        inputs = {"fasta": fasta, "metadata": meta}
+        bom = tmp_path / f"bom{inputs[marked].suffix}"
+        bom.write_bytes(b"\xef\xbb\xbf" + inputs[marked].read_bytes())
+        for name, paths in (("plain", inputs), ("bom", {**inputs, marked: bom})):
+            assert main(["ingest", "--fasta", str(paths["fasta"]), "--metadata", str(paths["metadata"]),
+                         "--workdir", str(tmp_path / name)]) == 0
+        for output in ("cohort.tsv", "exclusion_report.tsv"):
+            assert (tmp_path / "bom" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
         capsys.readouterr()
 
     @pytest.mark.parametrize("column", ["country", "location"])
@@ -1042,6 +1074,8 @@ def test_metadata_delimiter_comes_from_the_header_line_of_a_txt_file(tmp_path, f
 
 
 def test_commands_write_only_into_workdir(tmp_path, fixture_files, monkeypatch, capsys):
+    """`stats` and `gradcheck` write no outputs, so without `--workdir` they
+    leave the current directory as it was."""
     fasta, meta, _ = fixture_files
     scratch = tmp_path / "scratch"
     scratch.mkdir()
@@ -1049,8 +1083,23 @@ def test_commands_write_only_into_workdir(tmp_path, fixture_files, monkeypatch, 
     wd = tmp_path / "w"
     assert main(["ingest", "--fasta", str(fasta), "--metadata", str(meta),
                  "--workdir", str(wd)]) == 0
+    assert main(["stats", "--cohort", str(wd / "cohort.tsv")]) == 0
+    assert main(["gradcheck"]) == 0
     assert list(scratch.iterdir()) == []
     capsys.readouterr()
+
+
+def test_search_with_every_trial_failed_exits_1_and_writes_its_record(tmp_path, capsys):
+    _blob_matrix(tmp_path / "x.mat", 30, 40)
+    space = tmp_path / "space.tsv"
+    space.write_text("kernel_size\tchoice\t50\n")  # no stage fits a width of 40
+    wd = tmp_path / "w"
+    code = main(["search", "--matrix", str(tmp_path / "x.mat"), "--space", str(space),
+                 "--trials", "2", "--k", "2", "--epochs", "1", "--workdir", str(wd)])
+    assert code == 1
+    assert capsys.readouterr().err == "no trial completed successfully\n"
+    assert [line.split("\t")[2] for line in (wd / "trials.tsv").read_text().splitlines()[1:]] == ["failed"] * 2
+    assert load_config(str(wd / "search.resolved.cfg"), {}).search_space == str(space)
 
 
 class TestConfigFile:
@@ -1111,6 +1160,12 @@ class TestConfigFile:
             load_config(str(cfg), {})
         assert main(["gradcheck", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad value for conv_filters: {value!r} ")
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfsplit_seed = 3\nratio = 0.5\n")
+        loaded = load_config(str(cfg), {})
+        assert (loaded.split_seed, loaded.ratio) == (3, 0.5)
 
     def test_empty_list_loads_back_as_no_stages(self, tmp_path):
         resolved = tmp_path / "run.cfg"
