@@ -11,13 +11,12 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import checkpoint as ckpt
-from . import dataset, evaluation, ingest, training
-from .config import RunConfig, load_config
-from .gradcheck import run_gradient_checks
-from .network import Architecture, Network
-from .scales import ScalesRegistry, default_registry, parse_registry
+from .config import Architecture, RunConfig, TrainConfig, load_config
+
+if TYPE_CHECKING:
+    from .scales import ScalesRegistry
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,6 +43,8 @@ def _parse_file(path: str, parse):
 
 
 def _load_registry(cfg: RunConfig) -> ScalesRegistry:
+    from .scales import default_registry, parse_registry
+
     return _parse_file(cfg.registry, parse_registry) if cfg.registry else default_registry()
 
 
@@ -57,8 +58,8 @@ def _detect_delimiter(path: str, text: str) -> str:
     return "\t" if "\t" in (text.splitlines() or [""])[0] else ","
 
 
-def _train_config(cfg: RunConfig) -> training.TrainConfig:
-    return training.TrainConfig(
+def _train_config(cfg: RunConfig) -> TrainConfig:
+    return TrainConfig(
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
@@ -77,9 +78,13 @@ def _arch_from_config(cfg: RunConfig) -> Architecture:
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the resolved config, the parsed arguments and the
-# workdir `main` has made, and writes its outputs there; `main` writes the record
+# workdir `main` has made, and writes its outputs there; `main` writes the record.
+# Each imports the modules it runs in its own body, so that a stage process
+# loads only those: `ingest` and `stats` start without numpy.
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import ingest
+
     fasta_records, rejects = _parse_file(args.fasta, ingest.parse_fasta)
     rows = _parse_file(
         args.metadata, lambda text: ingest.parse_metadata(text, _detect_delimiter(args.metadata, text))
@@ -97,6 +102,8 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
 
 
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import ingest
+
     records = ingest.read_cohort(args.cohort)
     text = ingest.cohort_stats(records).to_tsv()
     if args.out:
@@ -107,6 +114,8 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
 
 
 def cmd_featurize(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import dataset, ingest
+
     registry = _load_registry(cfg)
     records = ingest.read_cohort(args.cohort)
     if not records:
@@ -120,6 +129,8 @@ def cmd_featurize(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome
 
 
 def cmd_split(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import dataset
+
     train_idx, test_idx = dataset.write_split(
         args.matrix, cfg.ratio, cfg.split_seed, wd / "train.mat", wd / "test.mat"
     )
@@ -128,6 +139,8 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
 
 
 def cmd_balance(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import dataset
+
     m = dataset.read_matrix(args.matrix)
     balanced = dataset.smote(m, k=cfg.smote_k, seed=cfg.smote_seed)
     dataset.write_matrix(balanced, wd / "balanced.mat")
@@ -136,6 +149,9 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import checkpoint, dataset, training
+    from .network import Network
+
     registry = _load_registry(cfg)
     m = dataset.read_matrix(args.matrix)
     validation = None
@@ -144,7 +160,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
         validation = v.x, v.y
     net = Network(m.x.shape[1], _arch_from_config(cfg).specs(), seed=cfg.train_seed)
     logs, optimizer = training.train(net, m.x, m.y, _train_config(cfg), validation)
-    ckpt.save_checkpoint(net, wd / "model.ckpt", registry.content_hash, optimizer)
+    checkpoint.save_checkpoint(net, wd / "model.ckpt", registry.content_hash, optimizer)
     (wd / "epochs.tsv").write_text(training.epoch_logs_tsv(logs), encoding="utf-8")
     last = logs[-1]
     print(
@@ -155,9 +171,11 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import checkpoint, dataset, evaluation
+
     evaluation.check_threshold(cfg.threshold)
     registry = _load_registry(cfg)
-    net, _, _ = ckpt.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
+    net, _, _ = checkpoint.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
     m = dataset.read_matrix(args.matrix)
     if m.x.shape[1] != net.input_length:
         raise ValueError(
@@ -173,9 +191,11 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
 
 
 def cmd_predict(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import checkpoint, dataset, evaluation, ingest
+
     evaluation.check_threshold(cfg.threshold)
     registry = _load_registry(cfg)
-    net, _, _ = ckpt.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
+    net, _, _ = checkpoint.load_checkpoint(args.checkpoint, expect_registry_hash=registry.content_hash)
     codebook, codebook_hash = _parse_file(args.codebook, dataset.CovariateCodebook.from_text)
     if codebook_hash != registry.content_hash:
         raise ValueError(f"{args.codebook}: codebook was built against registry {codebook_hash[:12]}..., "
@@ -197,6 +217,8 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
 
 
 def cmd_search(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from . import dataset, training
+
     m = dataset.read_matrix(args.matrix)
     base = _arch_from_config(cfg)
     space = (
@@ -224,6 +246,8 @@ def cmd_search(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
 
 
 def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace, wd: Path) -> Outcome:
+    from .gradcheck import run_gradient_checks
+
     results, passed = run_gradient_checks(seed=cfg.train_seed)
     for r in results:
         print(f"{r.tensor}\t{r.rel_error:.3e}\t{'PASS' if r.passed else 'FAIL'}")

@@ -7,17 +7,72 @@ Command-line flags override file values; every run writes its fully resolved
 configuration next to its outputs. A value that file could not load back (a
 line break, leading or trailing whitespace, or a `#` that would start a
 comment) is refused.
+
+The stock values `RunConfig` takes its defaults from (`Architecture`,
+`TrainConfig`, `DEFAULT_N_MODEL`) live here, and `network`, `training` and
+`dataset` import them, so that reading a configuration loads no numpy.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dataset import DEFAULT_N_MODEL
-from .network import Architecture
-from .training import TrainConfig
+if TYPE_CHECKING:
+    from .layers import LayerSpec
+
+# Feature-vector width of the paper's model input.
+DEFAULT_N_MODEL = 16730
+
+
+@dataclass(frozen=True)
+class Architecture:
+    """Hyperparameters of the CNN-LSTM template. The defaults are the stock
+    architecture; the run config and the search take theirs from here."""
+
+    conv_filters: tuple[int, ...] = (128, 64, 64, 24)
+    kernel_size: int = 4
+    pool_size: int = 2
+    dropout_rate: float = 0.166
+    lstm_units: int = 64
+    dense_units: tuple[int, ...] = (64, 32, 16)
+
+    def specs(self) -> list[LayerSpec]:
+        """Conv/pool/dropout stages, an LSTM, dense stack (dropout after the
+        first dense layer), sigmoid output unit."""
+        from .layers import Conv1DSpec, DenseSpec, DropoutSpec, LSTMSpec, MaxPool1DSpec
+
+        specs: list[LayerSpec] = []
+        for filters in self.conv_filters:
+            specs.append(Conv1DSpec(filters, self.kernel_size))
+            specs.append(MaxPool1DSpec(self.pool_size))
+            specs.append(DropoutSpec(self.dropout_rate))
+        specs.append(LSTMSpec(self.lstm_units))
+        for j, units in enumerate(self.dense_units):
+            specs.append(DenseSpec(units, "relu"))
+            if j == 0:
+                specs.append(DropoutSpec(self.dropout_rate))
+        specs.append(DenseSpec(1, "sigmoid"))
+        return specs
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 100
+    batch_size: int = 32
+    learning_rate: float = 1e-3
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive finite number, got {self.learning_rate}")
 
 
 class ConfigError(ValueError):
@@ -26,6 +81,10 @@ class ConfigError(ValueError):
 
 # A '#' that starts the line or follows whitespace.
 _COMMENT = re.compile(r"(?<!\S)#")
+
+
+# numpy's generators take no negative seed.
+_SEEDS = ("split_seed", "smote_seed", "train_seed")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -85,6 +144,8 @@ class RunConfig:
                     value = _parse_int_list(raw)
                 else:
                     value = raw
+                if key in _SEEDS and value < 0:
+                    raise ValueError("a seed must be a non-negative integer")
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
             setattr(self, key, value)

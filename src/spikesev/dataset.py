@@ -17,13 +17,12 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .config import DEFAULT_N_MODEL
 from .ingest import Severity, SpikeRecord
 from .scales import ScalesRegistry
 from .seqfeatures import GLOBAL_DESCRIPTOR_LENGTH, write_sequence_features
 
 LABEL_OF = {Severity.MILD: 1, Severity.SEVERE: 0}
-
-DEFAULT_N_MODEL = 16730
 
 # Fixed field order of the one-hot covariate blocks.
 COVARIATE_FIELDS = ("gender", "age", "clade", "lineage")

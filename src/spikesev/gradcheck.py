@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Architecture
 from .layers import Conv1DSpec, DenseSpec, DropoutSpec, LSTMSpec, MaxPool1DSpec
-from .network import LAMBDA_L2, Architecture, Network, batch_bce_l2
+from .network import LAMBDA_L2, Network, batch_bce_l2
 
 INPUT_LENGTH = 32
 DEFAULT_STEP = 1e-5

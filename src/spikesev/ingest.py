@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .seqfeatures import byte_residue_indices, residue_indices
+from .scales import check_residues, first_non_canonical
 
 
 class Severity(Enum):
@@ -163,9 +163,8 @@ def parse_fasta(text: str) -> tuple[list[tuple[str, str]], list[RejectedSequence
         if not seq:
             rejects.append(RejectedSequence(current_id, 0, ""))
             return
-        invalid = byte_residue_indices(seq) < 0
-        if invalid.any():
-            i = int(invalid.argmax())
+        i = first_non_canonical(seq)
+        if i >= 0:
             rejects.append(RejectedSequence(current_id, i + 1, seq[i]))
             return
         records.append((current_id, seq))
@@ -465,7 +464,7 @@ def read_cohort(path: str | Path) -> list[SpikeRecord]:
             raise MetadataError(f"{path}:{lineno}: duplicate accession id {acc} (first on line {first_line[acc]})")
         first_line[acc] = lineno
         try:
-            residue_indices(seq)
+            check_residues(seq)
         except ValueError as exc:
             raise MetadataError(f"{path}:{lineno}: {exc}") from None
         if not (age.isascii() and age.isdigit()):

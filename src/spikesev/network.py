@@ -28,16 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import (
-    Conv1DSpec,
-    DenseSpec,
-    DropoutSpec,
-    LayerSpec,
-    LSTMSpec,
-    MaxPool1DSpec,
-    ShapeError,
-    sample_dropout_mask,
-)
+from .config import Architecture, TrainConfig
+from .layers import DropoutSpec, LayerSpec, ShapeError, sample_dropout_mask
 
 BCE_EPSILON = 1e-7
 # Sets the rows of one inference batch: as many as would fit the widest layer
@@ -46,35 +38,6 @@ BCE_EPSILON = 1e-7
 # 64 MiB gives paper-width batches of one or two rows, which the LSTM's
 # per-step loop makes slower.
 PREDICT_BATCH_BYTES = 64 << 20
-
-
-@dataclass(frozen=True)
-class Architecture:
-    """Hyperparameters of the CNN-LSTM template. The defaults are the stock
-    architecture; the run config and the search take theirs from here."""
-
-    conv_filters: tuple[int, ...] = (128, 64, 64, 24)
-    kernel_size: int = 4
-    pool_size: int = 2
-    dropout_rate: float = 0.166
-    lstm_units: int = 64
-    dense_units: tuple[int, ...] = (64, 32, 16)
-
-    def specs(self) -> list[LayerSpec]:
-        """Conv/pool/dropout stages, an LSTM, dense stack (dropout after the
-        first dense layer), sigmoid output unit."""
-        specs: list[LayerSpec] = []
-        for filters in self.conv_filters:
-            specs.append(Conv1DSpec(filters, self.kernel_size))
-            specs.append(MaxPool1DSpec(self.pool_size))
-            specs.append(DropoutSpec(self.dropout_rate))
-        specs.append(LSTMSpec(self.lstm_units))
-        for j, units in enumerate(self.dense_units):
-            specs.append(DenseSpec(units, "relu"))
-            if j == 0:
-                specs.append(DropoutSpec(self.dropout_rate))
-        specs.append(DenseSpec(1, "sigmoid"))
-        return specs
 
 
 def infer_shapes(specs: list[LayerSpec], input_length: int) -> list[tuple[int, ...]]:
@@ -240,7 +203,7 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    learning_rate: float = 1e-3
+    learning_rate: float = TrainConfig.learning_rate
     step: int = 0
     m: list[dict[str, np.ndarray]] = field(default_factory=list)
     v: list[dict[str, np.ndarray]] = field(default_factory=list)

@@ -10,10 +10,30 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
+
+_NON_CANONICAL = re.compile(f"[^{AMINO_ACIDS}]")
+
+
+def first_non_canonical(sequence: str) -> int:
+    """Offset of the first character of `sequence` that is not one of the 20
+    canonical upper-case residues; -1 if there is none."""
+    match = _NON_CANONICAL.search(sequence)
+    return -1 if match is None else match.start()
+
+
+def check_residues(sequence: str) -> None:
+    """ValueError unless `sequence` is non-empty and made of the 20
+    canonical upper-case residues."""
+    if not sequence:
+        raise ValueError("empty sequence")
+    if first_non_canonical(sequence) >= 0:
+        bad = set(sequence) - set(AMINO_ACIDS)
+        raise ValueError(f"non-canonical residues in sequence: {sorted(bad)}")
 
 IONIZABLE_SIDE_CHAINS = frozenset("CDEHKRY")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scales import AMINO_ACIDS, ScalesRegistry
+from .scales import AMINO_ACIDS, ScalesRegistry, check_residues
 
 RBD_START = 319
 RBD_END = 541
@@ -43,16 +43,11 @@ def byte_residue_indices(sequence: str) -> np.ndarray:
 def residue_indices(sequence: str) -> np.ndarray:
     """Alphabetical residue index (A=0, ..., Y=19) of each position.
 
-    The one place a sequence is validated for featurization: it must be
-    non-empty and made of the 20 canonical upper-case residues.
+    The sequence must be non-empty and made of the 20 canonical upper-case
+    residues (`scales.check_residues`).
     """
-    if not sequence:
-        raise ValueError("empty sequence")
-    idx = byte_residue_indices(sequence)
-    if idx.min() < 0:
-        bad = set(sequence) - set(AMINO_ACIDS)
-        raise ValueError(f"non-canonical residues in sequence: {sorted(bad)}")
-    return idx
+    check_residues(sequence)
+    return byte_residue_indices(sequence)
 
 
 def _scale(table: dict[str, float]) -> np.ndarray:

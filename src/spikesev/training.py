@@ -11,33 +11,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .config import Architecture, TrainConfig
 from .dataset import FeatureMatrix, check_smote, smote
 from .evaluation import evaluate_scores
-from .network import (
-    LAMBDA_L2,
-    AdamState,
-    Architecture,
-    LayerSpec,
-    Network,
-    adam_step,
-    batch_bce_l2,
-)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 32
-    learning_rate: float = AdamState.learning_rate
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a positive finite number, got {self.learning_rate}")
+from .network import LAMBDA_L2, AdamState, LayerSpec, Network, adam_step, batch_bce_l2
 
 
 @dataclass(frozen=True)

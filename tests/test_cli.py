@@ -16,8 +16,10 @@ from spikesev.cli import build_parser, main
 from spikesev.config import ConfigError, RunConfig, load_config
 from spikesev.ingest import Severity, SpikeRecord, read_cohort, write_cohort
 from spikesev.layers import DenseSpec, LSTMSpec
-from spikesev.network import Architecture, Network
+from spikesev.dataset import DEFAULT_N_MODEL
+from spikesev.network import AdamState, Architecture, Network
 from spikesev.scales import default_registry
+from spikesev.training import TrainConfig
 
 TINY_CONFIG = """
 n_model = 600
@@ -515,6 +517,24 @@ class TestExitCodes:
         key = flag[2:].replace("-", "_")
         assert capsys.readouterr().err.startswith(f"error: bad value for {key}: 'x' (")
         assert list(wd.iterdir()) == []
+
+    @pytest.mark.parametrize("stage, key", [
+        ("split", "split_seed"),
+        ("balance", "smote_seed"),
+        ("train", "train_seed"),
+        ("search", "train_seed"),
+        ("gradcheck", "train_seed"),
+    ], ids=["split", "balance", "train", "search", "gradcheck"])
+    def test_negative_seed_is_refused_naming_its_key(self, tmp_path, stage, key, capsys):
+        """Refused where the config is parsed, so no workdir is made."""
+        dataset.write_matrix(dataset.FeatureMatrix(*separable_blobs(n=20, length=64, seed=1), ["-"] * 20),
+                             tmp_path / "x.mat")
+        wd = tmp_path / "w"
+        matrix = [] if stage == "gradcheck" else ["--matrix", str(tmp_path / "x.mat")]
+        assert main([stage, *matrix, "--seed", "-1", "--workdir", str(wd)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad value for {key}: '-1' (a seed must be a non-negative integer)\n"
+        assert not wd.exists()
 
     def test_train_with_zero_learning_rate_writes_no_checkpoint(self, tmp_path, fixture_files,
                                                                 capsys):
@@ -1060,6 +1080,16 @@ def test_readme_configuration_table_lists_every_config_key():
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
+def test_run_config_defaults_are_the_stock_values():
+    cfg, stock = RunConfig(), TrainConfig()
+    arch = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(Architecture)}
+    assert arch == dataclasses.asdict(Architecture())
+    assert (cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.train_seed) == (
+        stock.epochs, stock.batch_size, stock.learning_rate, stock.seed)
+    assert cfg.n_model == DEFAULT_N_MODEL
+    assert AdamState().learning_rate == stock.learning_rate
+
+
 @pytest.mark.parametrize("sep", ["\t", ","], ids=["tab", "comma"])
 def test_metadata_delimiter_comes_from_the_header_line_of_a_txt_file(tmp_path, fixture_files, sep, capsys):
     fasta, meta, _ = fixture_files
@@ -1160,6 +1190,13 @@ class TestConfigFile:
             load_config(str(cfg), {})
         assert main(["gradcheck", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad value for conv_filters: {value!r} ")
+
+    @pytest.mark.parametrize("key", ["split_seed", "smote_seed", "train_seed"])
+    def test_negative_seed_in_a_file_is_refused(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = -1\n")
+        with pytest.raises(ConfigError, match=f"^bad value for {key}: '-1' "):
+            load_config(str(cfg), {})
 
     def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,12 +1,19 @@
-"""The package runs on the Python standard library and numpy alone."""
+"""The package runs on the Python standard library and numpy alone, and
+each CLI command loads only the modules it runs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "spikesev").glob("*.py"))
+from helpers import cohort_fixture_texts
+from spikesev.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "spikesev").glob("*.py"))
 
 
 def _imported_modules(path: Path) -> list[str]:
@@ -31,3 +38,60 @@ def test_imports_only_stdlib_and_numpy(path):
         if name not in sys.stdlib_module_names and name != "numpy"
     ]
     assert foreign == [], f"{path.name} imports {foreign}"
+
+
+# Runs one command in a fresh interpreter, then prints the modules it loaded.
+_PROBE = """
+import sys
+from spikesev.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("spikesev.")))
+"""
+
+MODEL_MODULES = {f"spikesev.{m}" for m in ("layers", "network", "training", "checkpoint", "evaluation", "gradcheck")}
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """A cohort, its matrix and the split's train matrix, made in-process."""
+    d = tmp_path_factory.mktemp("stages")
+    fasta, meta = cohort_fixture_texts()
+    (d / "in.fasta").write_text(fasta)
+    (d / "meta.tsv").write_text(meta)
+    for argv in (
+        ["ingest", "--fasta", d / "in.fasta", "--metadata", d / "meta.tsv"],
+        ["featurize", "--cohort", d / "cohort.tsv", "--n-model", "600"],
+        ["split", "--matrix", d / "features.mat"],
+    ):
+        assert main([*map(str, argv), "--workdir", str(d)]) == 0
+    return d
+
+
+def _loaded_by(argv: list[str], cwd: Path) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--fasta", "in.fasta", "--metadata", "meta.tsv"],
+    ["stats", "--cohort", "cohort.tsv"],
+], ids=lambda argv: argv[0])
+def test_cohort_commands_load_no_numpy(stage_inputs, tmp_path, argv):
+    loaded = _loaded_by([*argv, "--workdir", str(tmp_path)], stage_inputs)
+    assert "spikesev.ingest" in loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["featurize", "--cohort", "cohort.tsv", "--n-model", "600"],
+    ["split", "--matrix", "features.mat"],
+    ["balance", "--matrix", "train.mat"],
+], ids=lambda argv: argv[0])
+def test_data_commands_load_no_model_module(stage_inputs, tmp_path, argv):
+    loaded = _loaded_by([*argv, "--workdir", str(tmp_path)], stage_inputs)
+    assert "spikesev.dataset" in loaded
+    assert loaded & MODEL_MODULES == set()

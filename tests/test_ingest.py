@@ -432,3 +432,42 @@ def test_read_cohort_refuses_a_sequence_featurize_cannot_encode(tmp_path, sequen
                     + f"A2\t{sequence}\t61\tfemale\tGR\tP.1\tsevere\n")
     with pytest.raises(MetadataError, match=re.escape(f"cohort.tsv:3: {message}")):
         read_cohort(path)
+
+
+# One sequence of each kind of non-canonical character, with the exact
+# `parse_fasta` reject and `read_cohort` refusal pinned for each. `parse_fasta`
+# upper-cases ASCII letters first; `read_cohort` reads the sequence as written.
+SEQUENCE_VERDICTS = [
+    ("ACDXEF", (4, "X"), "non-canonical residues in sequence: ['X']"),
+    ("acdb", (4, "B"), "non-canonical residues in sequence: ['a', 'b', 'c', 'd']"),
+    ("MK*", (3, "*"), "non-canonical residues in sequence: ['*']"),
+    ("MK-LV", (3, "-"), "non-canonical residues in sequence: ['-']"),
+    ("MK1", (3, "1"), "non-canonical residues in sequence: ['1']"),
+    ("MK\u00e9", (3, "\u00e9"), "non-canonical residues in sequence: ['\u00e9']"),
+    ("MK\u00dfA", (3, "\u00df"), "non-canonical residues in sequence: ['\u00df']"),
+    ("\U0001f9ecMK", (1, "\U0001f9ec"), "non-canonical residues in sequence: ['\U0001f9ec']"),
+    ("", (0, ""), "empty sequence"),
+    ("mkv", None, "non-canonical residues in sequence: ['k', 'm', 'v']"),
+    ("MKv\u00e9-*", (4, "\u00e9"), "non-canonical residues in sequence: ['*', '-', 'v', '\u00e9']"),
+    ("\u00c9MK", (1, "\u00c9"), "non-canonical residues in sequence: ['\u00c9']"),
+    ("Mk\u00b5", (3, "\u00b5"), "non-canonical residues in sequence: ['k', '\u00b5']"),
+]
+
+
+def test_parse_fasta_rejects_each_kind_of_character_at_its_offset():
+    sequences = [sequence for sequence, _, _ in SEQUENCE_VERDICTS]
+    records, rejects = parse_fasta("".join(f">r{i}\n{seq}\n" for i, seq in enumerate(sequences)))
+    want = [(f"r{i}", *reject) for i, (_, reject, _) in enumerate(SEQUENCE_VERDICTS) if reject]
+    assert [(r.record_id, r.position, r.character) for r in rejects] == want
+    assert records == [(f"r{i}", seq.upper()) for i, (seq, reject, _) in enumerate(SEQUENCE_VERDICTS)
+                       if reject is None]
+
+
+@pytest.mark.parametrize("sequence, message", [(seq, message) for seq, _, message in SEQUENCE_VERDICTS])
+def test_read_cohort_refuses_each_kind_of_character(tmp_path, sequence, message):
+    path = tmp_path / "cohort.tsv"
+    path.write_text(COHORT_HEADER_LINE + "A1\tMKV\t54\tmale\tGR\tP.1\tmild\n"
+                    + f"A2\t{sequence}\t61\tfemale\tGR\tP.1\tsevere\n", encoding="utf-8")
+    with pytest.raises(MetadataError) as info:
+        read_cohort(path)
+    assert str(info.value) == f"{path}:3: {message}"

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from spikesev.scales import (
@@ -9,9 +10,12 @@ from spikesev.scales import (
     RegistryError,
     ScalesRegistry,
     canonical_lines,
+    check_residues,
     default_registry,
+    first_non_canonical,
     parse_registry,
 )
+from spikesev.seqfeatures import byte_residue_indices
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +129,33 @@ def test_scale_range_extremes(registry):
     for name, extremes in (("hydrophobicity", (-4.5, 4.5)), ("polarity", (-3.4, 3.0))):
         values = getattr(registry, name).values()
         assert (min(values), max(values)) == extremes
+
+
+# Characters outside the 20 canonical residues: lower case, ambiguity codes,
+# stop and gap marks, digits, non-ASCII letters and an emoji.
+NON_CANONICAL = [*"acdkxy", "X", "B", "*", "-", *"0123456789", "\u00e9", "\u00df", "\U0001f9ec"]
+
+
+def test_first_non_canonical_is_the_first_unmatched_byte_of_the_lookup():
+    """On seeded strings mostly of residues, the offset equals that of the
+    first -1 of `seqfeatures.byte_residue_indices` (-1 if there is none)."""
+    rng = np.random.default_rng(24)
+    pool = [*AMINO_ACIDS * 5, *NON_CANONICAL]
+    strings = ["", *AMINO_ACIDS, *NON_CANONICAL]
+    strings += ["".join(rng.choice(pool, rng.integers(1, 40))) for _ in range(2000)]
+    for s in strings:
+        bad = np.flatnonzero(byte_residue_indices(s) < 0)
+        assert first_non_canonical(s) == (int(bad[0]) if bad.size else -1), repr(s)
+
+
+@pytest.mark.parametrize("sequence, message", [
+    ("", "empty sequence"),
+    ("MK\u00dfxX", "non-canonical residues in sequence: ['X', 'x', '\u00df']"),
+])
+def test_check_residues_refuses(sequence, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_residues(sequence)
+
+
+def test_check_residues_takes_every_canonical_residue():
+    check_residues(AMINO_ACIDS)
