@@ -144,16 +144,22 @@ class Network:
             if isinstance(spec, DropoutSpec) and cache is not None
         ]
 
-    def backward(self, dout: np.ndarray, caches) -> list[dict[str, np.ndarray]]:
-        """Gradients of every parameter tensor given d(loss)/d(output)."""
-        if caches is None or len(caches) != len(self.specs):
+    def backward(self, dout: np.ndarray, caches: list) -> list[dict[str, np.ndarray]]:
+        """Gradients of every parameter tensor given d(loss)/d(output).
+
+        Consumes `caches`: each entry is set to None once its layer's
+        backward has run, so a layer's cache is freed before the layers
+        below it run. A second backward needs a new forward pass; caches
+        that are all None are refused.
+        """
+        if caches is None or len(caches) != len(self.specs) or all(cache is None for cache in caches):
             raise ValueError("backward requires the caches of a completed forward pass")
-        grads = []
+        grads: list = [None] * len(self.specs)
         grad = dout
-        for spec, params, cache in zip(self.specs[::-1], self.params[::-1], caches[::-1]):
-            grad, layer_grads = spec.backward(grad, cache, params)
-            grads.append(layer_grads)
-        return grads[::-1]
+        for i in reversed(range(len(self.specs))):
+            grad, grads[i] = self.specs[i].backward(grad, caches[i], self.params[i])
+            caches[i] = None
+        return grads
 
     def add_l2_gradients(self, grads, lam: float) -> None:
         """Add d(lam * sum w^2)/dw = 2*lam*w to every weight gradient."""
