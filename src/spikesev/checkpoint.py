@@ -109,7 +109,7 @@ class _Reader:
         (ndim,) = struct.unpack("<B", self.take(1))
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
         data = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        return name, data.astype(np.float32)
+        return name, data.astype(np.float32)  # a writable copy, not a view of the file
 
 
 def _tensor_items(params: list[dict[str, np.ndarray]]):
@@ -135,7 +135,7 @@ def _read_tensors(reader: _Reader, prefix: str, expected: dict, into: list[dict]
             )
         seen.add(name)
         idx, key = name.split("/")
-        into[int(idx)][key] = data.copy()
+        into[int(idx)][key] = data
 
 
 def save_checkpoint(

@@ -109,21 +109,6 @@ def fit_codebook(records: list[SpikeRecord]) -> CovariateCodebook:
     return CovariateCodebook(categories={f: tuple(sorted(v)) for f, v in values.items()})
 
 
-def encode_covariates(record: SpikeRecord, codebook: CovariateCodebook) -> np.ndarray:
-    """Concatenated one-hot blocks in fixed field order; unseen values -> zeros."""
-    out = np.zeros(codebook.width, dtype=np.float64)
-    offset = 0
-    for fieldname in COVARIATE_FIELDS:
-        cats = codebook.categories[fieldname]
-        value = str(getattr(record, fieldname))
-        try:
-            out[offset + cats.index(value)] = 1.0
-        except ValueError:
-            pass
-        offset += len(cats)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Rows x (float32, n x d), labels y (uint8, 1 = mild, 0 = severe) and
@@ -162,7 +147,8 @@ class FeatureMatrix:
 
 def _covariate_offsets(codebook: CovariateCodebook) -> list[tuple[str, dict[str, int]]]:
     """Each field with the offset of each of its categories in the
-    covariate block, in `encode_covariates`' layout."""
+    covariate block: the fields in COVARIATE_FIELDS order, each one-hot
+    over its sorted categories."""
     offsets, start = [], 0
     for fieldname in COVARIATE_FIELDS:
         cats = codebook.categories[fieldname]

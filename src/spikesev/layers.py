@@ -317,32 +317,43 @@ dropout_backward = dropout_forward
 #
 # Gate layout along the 4U axis: input, forget, candidate, output.
 
-def lstm_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray):
-    """x (B, T, C), w (C, 4U), u (U, 4U), b (4U,) -> h_T (B, U).
-
-    Caches h and c over steps 0..T and the activated gates of each step,
-    stacked as one (T, B, 4U) array."""
-    batch, steps, _ = x.shape
+def _lstm_step(x_t, h, c, w, u, b):
+    """x_t (B, C) and the previous h, c (B, U) -> (activated gates (B, 4U), c, h)."""
     units = u.shape[0]
+    z = x_t @ w + h @ u + b
+    gates = sigmoid(z)
+    gates[:, 2 * units : 3 * units] = np.tanh(z[:, 2 * units : 3 * units])
+    i, f, g, o = np.split(gates, 4, axis=1)
+    c = f * c + i * g
+    h = o * np.tanh(c)
+    return gates, c, h
+
+
+def lstm_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray):
+    """x (B, T, C), w (C, 4U), u (U, 4U), b (4U,) -> h_T (B, U). Keeps only the
+    current h and c and caches (x, b), from which `lstm_backward` replays the
+    steps (Gruslys et al. 2016, *Memory-Efficient Backpropagation Through Time*)."""
+    batch, steps, _ = x.shape
     if steps == 0:
         raise ValueError("lstm input has zero time steps")
-    h = np.zeros((steps + 1, batch, units), dtype=x.dtype)
+    h = np.zeros((batch, u.shape[0]), dtype=x.dtype)
     c = np.zeros_like(h)
-    gates = np.matmul(x.transpose(1, 0, 2), w)  # every step's x_t @ w, activated in place below
     for t in range(steps):
-        z = gates[t] + h[t] @ u + b
-        gates[t] = sigmoid(z)
-        gates[t, :, 2 * units : 3 * units] = np.tanh(z[:, 2 * units : 3 * units])
-        i, f, g, o = np.split(gates[t], 4, axis=1)
-        c[t + 1] = f * c[t] + i * g
-        h[t + 1] = o * np.tanh(c[t + 1])
-    return h[steps], (x, h, c, gates)
+        _, c, h = _lstm_step(x[:, t], h, c, w, u, b)
+    return h, (x, b)
 
 
 def lstm_backward(dh: np.ndarray, cache, w: np.ndarray, u: np.ndarray):
-    x, h, c, gates = cache
-    steps, batch, _ = gates.shape
+    """Replays the forward steps to rebuild h and c over steps 0..T and the
+    activated gates of each step, then runs backpropagation through time."""
+    x, b = cache
+    batch, steps, _ = x.shape
     units = u.shape[0]
+    h = np.zeros((steps + 1, batch, units), dtype=x.dtype)
+    c = np.zeros_like(h)
+    gates = np.empty((steps, batch, 4 * units), dtype=np.result_type(x, w))
+    for t in range(steps):
+        gates[t], c[t + 1], h[t + 1] = _lstm_step(x[:, t], h[t], c[t], w, u, b)
     dw = np.zeros_like(w)
     du = np.zeros_like(u)
     db = np.zeros(4 * units, dtype=w.dtype)

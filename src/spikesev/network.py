@@ -23,7 +23,6 @@ channels) up to the LSTM and (features,) after it; the input is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +31,6 @@ from .config import Architecture, TrainConfig
 from .layers import DropoutSpec, LayerSpec, ShapeError, sample_dropout_mask
 
 BCE_EPSILON = 1e-7
-# Sets the rows of one inference batch: as many as would fit the widest layer
-# output into it, and at least one. The sequence layers hold one row at a
-# time, so it sizes the batch the LSTM and dense layers take. Much less than
-# 64 MiB gives paper-width batches of one or two rows, which the LSTM's
-# per-step loop makes slower.
-PREDICT_BATCH_BYTES = 64 << 20
 
 
 def infer_shapes(specs: list[LayerSpec], input_length: int) -> list[tuple[int, ...]]:
@@ -99,7 +92,7 @@ class Network:
 
         In train mode dropout masks are sampled from `rng`. With
         `want_caches` it also returns the caches the backward pass needs
-        (layer inputs, gate activations, masks); without, no layer's cache
+        (layer inputs, dense activations, masks); without, no layer's cache
         outlives the layer.
 
         At inference without caches, the leading layers whose output is a
@@ -169,16 +162,10 @@ class Network:
                     layer_grads[key] = layer_grads[key] + 2.0 * lam * tensor
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode scores in [0, 1], one per row, in batches of as
-        many rows as the widest layer output fits in PREDICT_BATCH_BYTES.
-        Within a batch the sequence layers hold one row at a time, and the
-        LSTM and dense layers take the whole batch."""
-        widest = max(math.prod(s) for s in infer_shapes(self.specs, self.input_length))
-        rows = max(1, PREDICT_BATCH_BYTES // (widest * np.dtype(self.dtype).itemsize))
-        scores = [
-            self.forward(x[i : i + rows]).reshape(-1) for i in range(0, x.shape[0], rows)
-        ]
-        return np.concatenate(scores) if scores else np.zeros(0, dtype=self.dtype)
+        """Inference-mode scores in [0, 1], one per row: the sequence layers
+        hold one row at a time, and the LSTM and dense layers take every row
+        at once."""
+        return self.forward(x).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

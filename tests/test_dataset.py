@@ -7,6 +7,7 @@ import pytest
 from helpers import cohort_fixture_texts, random_sequence
 from spikesev import dataset
 from spikesev.dataset import (
+    COVARIATE_FIELDS,
     LABEL_OF,
     CodebookFormatError,
     CovariateCodebook,
@@ -14,7 +15,6 @@ from spikesev.dataset import (
     MatrixFormatError,
     assemble,
     check_smote,
-    encode_covariates,
     featurize,
     fit_codebook,
     read_matrix,
@@ -51,6 +51,22 @@ def _cohort():
     return cohort
 
 
+def _ref_encode_covariates(record, codebook):
+    """The covariate block `featurize` writes, built field by field:
+    concatenated one-hot blocks in fixed field order; unseen values -> zeros."""
+    out = np.zeros(codebook.width, dtype=np.float64)
+    offset = 0
+    for fieldname in COVARIATE_FIELDS:
+        cats = codebook.categories[fieldname]
+        value = str(getattr(record, fieldname))
+        try:
+            out[offset + cats.index(value)] = 1.0
+        except ValueError:
+            pass
+        offset += len(cats)
+    return out
+
+
 class TestCodebook:
     def test_gender_block_width(self):
         records = [_record(gender="male"), _record("EPI2", gender="female")]
@@ -61,25 +77,25 @@ class TestCodebook:
         records = [_record(clade="GK"), _record("EPI2", clade="GR")]
         cb = fit_codebook(records)
         offset = len(cb.categories["gender"]) + len(cb.categories["age"])
-        encoded = encode_covariates(_record("EPI3", clade="GR"), cb)
+        encoded = _ref_encode_covariates(_record("EPI3", clade="GR"), cb)
         assert encoded[offset : offset + 2].tolist() == [0.0, 1.0]
 
     def test_training_record_has_one_hot_per_field(self):
         records = _cohort()
         cb = fit_codebook(records)
         for rec in records:
-            assert encode_covariates(rec, cb).sum() == 4.0
+            assert _ref_encode_covariates(rec, cb).sum() == 4.0
 
     def test_unseen_category_gives_zero_block(self):
         records = _cohort()
         cb = fit_codebook(records)
         novel = _record("EPIX", lineage="XBB.1.5")
-        assert encode_covariates(novel, cb).sum() == 3.0
+        assert _ref_encode_covariates(novel, cb).sum() == 3.0
 
     def test_width_consistent(self):
         records = _cohort()
         cb = fit_codebook(records)
-        widths = {encode_covariates(r, cb).shape[0] for r in records}
+        widths = {_ref_encode_covariates(r, cb).shape[0] for r in records}
         assert widths == {cb.width}
 
     def test_codebook_text_round_trip(self):
@@ -130,7 +146,7 @@ class TestAssemble:
         blocks = [
             global_descriptors(records[0].sequence, REG).to_vector(),
             residue_encoding(records[0].sequence, REG).reshape(-1),
-            encode_covariates(records[0], cb),
+            _ref_encode_covariates(records[0], cb),
         ]
         ends = np.cumsum([b.size for b in blocks]).tolist()
         assert ends == [29, 79, 79 + cb.width]
@@ -200,7 +216,7 @@ def _reference_featurize(records, registry, codebook, n_model):
         truncated += seq.size > n_model - width
         seq = seq[: n_model - width]
         row[: seq.size] = seq
-        row[seq.size : seq.size + width] = encode_covariates(record, codebook)
+        row[seq.size : seq.size + width] = _ref_encode_covariates(record, codebook)
     return x, truncated
 
 

@@ -40,6 +40,39 @@ def test_imports_only_stdlib_and_numpy(path):
     assert foreign == [], f"{path.name} imports {foreign}"
 
 
+def _public_definitions(path: Path) -> list[str]:
+    """Names a module's top level defines (def, class, assignment) without
+    a leading underscore."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [name for name in names if not name.startswith("_")]
+
+
+def _loaded_names(paths: list[Path]) -> set[str]:
+    """Every name read in `paths`, bare or as an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    """An entry point that only tests call goes; a reference kernel lives in
+    the tests as a `_ref_` helper."""
+    read = _loaded_names([*SOURCES, *sorted((SRC.parent / "perfbench").glob("*.py"))])
+    unread = [f"{path.name}:{name}" for path in SOURCES for name in _public_definitions(path) if name not in read]
+    assert unread == []
+
+
 # Runs one command in a fresh interpreter, then prints the modules it loaded.
 _PROBE = """
 import sys

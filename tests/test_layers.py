@@ -567,11 +567,12 @@ class TestAgainstReferenceKernels:
         _assert_same_bytes(maxpool1d_backward(dy, cache, pool), _ref_maxpool1d_backward(dy, ref_cache, pool))
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_lstm(self, dtype):
+    @pytest.mark.parametrize("steps", [9, 600])
+    def test_lstm(self, steps, dtype):
         rng = np.random.default_rng(5)
         x, w, u, b, dh = (
             rng.normal(size=shape).astype(dtype) * scale
-            for shape, scale in (((3, 9, 2), 1.0), ((2, 20), 0.5), ((5, 20), 0.5), ((20,), 0.3), ((3, 5), 1.0))
+            for shape, scale in (((3, steps, 2), 1.0), ((2, 20), 0.5), ((5, 20), 0.5), ((20,), 0.3), ((3, 5), 1.0))
         )
         h, cache = lstm_forward(x, w, u, b)
         ref_h, ref_cache = _ref_lstm_forward(x, w, u, b)
@@ -655,6 +656,18 @@ def test_maxpool_forward_allocates_only_its_output():
     x = np.random.default_rng(8).normal(size=(4, 2000, 8)).astype(np.float32)
     (y, _), peak = _traced_peak(maxpool1d_forward, x, 2)
     assert peak <= 1.1 * y.nbytes
+
+
+def test_lstm_forward_holds_less_than_its_input():
+    """Only the current h and c live through the steps; the histories are
+    rebuilt by the backward pass."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(8, 600, 24)).astype(np.float32)
+    w = (rng.normal(size=(24, 256)) * 0.2).astype(np.float32)
+    u = (rng.normal(size=(64, 256)) * 0.2).astype(np.float32)
+    b = np.zeros(256, dtype=np.float32)
+    _, peak = _traced_peak(lstm_forward, x, w, u, b)
+    assert peak < x.nbytes, (peak, x.nbytes)
 
 
 def test_maxpool_backward_holds_dx_the_window_maxima_and_two_masks():
