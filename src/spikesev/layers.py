@@ -49,9 +49,13 @@ class Conv1DSpec:
     def forward(self, x, params, mask_source):
         return conv1d_forward(x, params["w"], params["b"])
 
-    def backward(self, dy, cache, params):
-        dx, dw, db = conv1d_backward(dy, cache, params["w"])
-        return dx, {"w": dw, "b": db}
+    def backward(self, dy, cache, params, want_dx):
+        """The input gradient, and each gradient's addends as stacks of rows:
+        the sample-by-sample products of each tap for `w`, and `dy` taken
+        (row, position) by (row, position) for `b`."""
+        w = params["w"]
+        dx = conv1d_input_grad(dy, w, cache.shape) if want_dx else None
+        return dx, {"w": conv1d_weight_terms(dy, cache, len(w)), "b": dy.reshape(1, -1, dy.shape[2])}
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ class MaxPool1DSpec:
     def forward(self, x, params, mask_source):
         return maxpool1d_forward(x, self.pool)
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, want_dx):
         return maxpool1d_backward(dy, cache, self.pool), {}
 
 
@@ -104,7 +108,7 @@ class DropoutSpec:
         mask = mask_source(x.shape, self.rate)
         return dropout_forward(x, self.rate, mask), mask
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, want_dx):
         return (dy if cache is None else dropout_backward(dy, self.rate, cache)), {}
 
 
@@ -135,8 +139,8 @@ class LSTMSpec:
     def forward(self, x, params, mask_source):
         return lstm_forward(x, params["w"], params["u"], params["b"])
 
-    def backward(self, dy, cache, params):
-        dx, dw, du, db = lstm_backward(dy, cache, params["w"], params["u"])
+    def backward(self, dy, cache, params, want_dx):
+        dx, dw, du, db = lstm_backward(dy, cache, params["w"], params["u"], want_dx)
         return dx, {"w": dw, "u": du, "b": db}
 
 
@@ -166,7 +170,7 @@ class DenseSpec:
     def forward(self, x, params, mask_source):
         return dense_forward(x, params["w"], params["b"], self.activation)
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, want_dx):
         dx, dw, db = dense_backward(dy, cache, params["w"], self.activation)
         return dx, {"w": dw, "b": db}
 
@@ -242,17 +246,34 @@ def _one_channel_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, y: np.ndarr
             out += bias[:n]
 
 
-def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, want_dx: bool = True):
+    """(dx, dw, db) of one batch; dx is None unless `want_dx`."""
+    dx = conv1d_input_grad(dy, w, x.shape) if want_dx else None
+    dw = np.stack([terms.sum(axis=0) for terms in conv1d_weight_terms(dy, x, w.shape[0])])
+    db = dy.sum(axis=(0, 1))
+    return dx, dw, db
+
+
+def conv1d_input_grad(dy: np.ndarray, w: np.ndarray, x_shape) -> np.ndarray:
+    """Each sample's `dy @ w[j].T`, added into its input positions j .. j+T."""
     k = w.shape[0]
     steps = dy.shape[1]
-    dx = np.zeros(x.shape, dtype=np.result_type(dy, w))
-    term = np.empty((steps, x.shape[2]), dtype=dx.dtype)
+    dx = np.zeros(x_shape, dtype=np.result_type(dy, w))
+    term = np.empty((steps, x_shape[2]), dtype=dx.dtype)
     for dys, dxs in zip(dy, dx):
         for j in range(k):
             dxs[j : j + steps] += np.matmul(dys, w[j].T, out=term)
-    dw = np.stack([(x[:, j : j + steps].transpose(0, 2, 1) @ dy).sum(axis=0) for j in range(k)])
-    db = dy.sum(axis=(0, 1))
-    return dx, dw, db
+    return dx
+
+
+def conv1d_weight_terms(dy: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """(k, B, C, F): tap j's weight gradient of each sample, `x[s, j:j+T].T @ dy[s]`.
+    The weight gradient is each tap's sum over the samples."""
+    steps = dy.shape[1]
+    terms = np.empty((k, x.shape[0], x.shape[2], dy.shape[2]), dtype=np.result_type(x, dy))
+    for j in range(k):
+        np.matmul(x[:, j : j + steps].transpose(0, 2, 1), dy, out=terms[j])
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +364,10 @@ def lstm_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray):
     return h, (x, b)
 
 
-def lstm_backward(dh: np.ndarray, cache, w: np.ndarray, u: np.ndarray):
+def lstm_backward(dh: np.ndarray, cache, w: np.ndarray, u: np.ndarray, want_dx: bool = True):
     """Replays the forward steps to rebuild h and c over steps 0..T and the
-    activated gates of each step, then runs backpropagation through time."""
+    activated gates of each step, then runs backpropagation through time.
+    dx is None unless `want_dx`."""
     x, b = cache
     batch, steps, _ = x.shape
     units = u.shape[0]
@@ -357,7 +379,7 @@ def lstm_backward(dh: np.ndarray, cache, w: np.ndarray, u: np.ndarray):
     dw = np.zeros_like(w)
     du = np.zeros_like(u)
     db = np.zeros(4 * units, dtype=w.dtype)
-    dx = np.empty_like(x)
+    dx = np.empty_like(x) if want_dx else None
     dc = np.zeros_like(dh)
     dz = np.empty((batch, 4 * units), dtype=np.result_type(dh, gates))
     dzi, dzf, dzg, dzo = np.split(dz, 4, axis=1)
@@ -372,7 +394,8 @@ def lstm_backward(dh: np.ndarray, cache, w: np.ndarray, u: np.ndarray):
         dw += x[:, t, :].T @ dz
         du += h[t].T @ dz
         db += dz.sum(axis=0)
-        dx[:, t, :] = dz @ w.T
+        if want_dx:
+            dx[:, t, :] = dz @ w.T
         dh = dz @ u.T
         dc = dc * f
     return dx, dw, du, db

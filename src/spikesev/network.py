@@ -10,7 +10,9 @@ input length 16,730 it has exactly 85,657 trainable parameters.
 Every layer kind is one spec class in `layers.py`, registered in
 `LAYER_KINDS`; this module only loops over specs. Shapes are (length,
 channels) up to the LSTM and (features,) after it; the input is
-(input_length, 1). A spec class provides:
+(input_length, 1). The leading layers whose output is a sequence (conv,
+pool, dropout) are the sequence layers: they treat rows alike and run on
+ranges of rows. A spec class provides:
 
 - `kind`: class attribute, the layer's tag in checkpoints;
 - `out_shape(in_shape)`: the output shape, or raises `ShapeError`;
@@ -18,11 +20,17 @@ channels) up to the LSTM and (features,) after it; the input is
   layer has none). Layers draw from one shared `rng` in stack order;
 - `forward(x, params, mask_source)` -> `(y, cache)`. `mask_source` is None
   at inference, else a callable `(shape, rate) -> dropout mask`;
-- `backward(dy, cache, params)` -> `(dx, grads)`, `grads` keyed like `params`.
+- `backward(dy, cache, params, want_dx)` -> `(dx, grads)`, `grads` keyed
+  like `params`. With `want_dx` false (layer 0, whose input gradient nothing
+  reads) a layer may skip `dx` and return None for it. A sequence layer
+  returns each gradient's addends instead, as an array (groups, rows, ...):
+  the gradient is each group's sum over its rows, in the parameter's shape.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +39,9 @@ from .config import Architecture, TrainConfig
 from .layers import DropoutSpec, LayerSpec, ShapeError, sample_dropout_mask
 
 BCE_EPSILON = 1e-7
+
+# Row ranges of a training step: one per CPU this process may run on.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def infer_shapes(specs: list[LayerSpec], input_length: int) -> list[tuple[int, ...]]:
@@ -52,6 +63,42 @@ def infer_shapes(specs: list[LayerSpec], input_length: int) -> list[tuple[int, .
     return shapes
 
 
+def _row_ranges(rows: int, parts: int) -> list[tuple[int, int]]:
+    """`parts` contiguous (lo, hi) ranges over `rows` rows, in order; their
+    sizes differ by at most one."""
+    bounds = [rows * r // parts for r in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _on_threads(fn, ranges: list[tuple[int, int]]) -> list:
+    """[fn(r, lo, hi) for each range r], one thread per range when there are
+    several. numpy leaves the GIL in its loops and BLAS calls, so the ranges
+    run side by side; a worker's exception reaches the caller."""
+    if len(ranges) == 1:
+        return [fn(0, *ranges[0])]
+    from concurrent.futures import ThreadPoolExecutor  # see Network.backward
+
+    with ThreadPoolExecutor(len(ranges)) as pool:
+        return list(pool.map(fn, range(len(ranges)), *zip(*ranges)))
+
+
+def _sum_rows(before: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """Rows whose sum along axis 0 has the bytes of numpy's axis-0 sum of
+    `before`'s rows followed by `rows`. numpy adds the rows of an array one
+    after another, so that is one row, the running sum: `rows`' first row is
+    seeded with `before`'s (and then restored). numpy adds single numbers
+    pairwise, so those rows are all kept."""
+    if math.prod(rows.shape[1:]) == 1:
+        return rows if before is None else np.concatenate([before, rows])
+    if before is None:
+        return rows.sum(axis=0, keepdims=True)
+    first = rows[0].copy()
+    rows[0] += before[0]
+    total = rows.sum(axis=0, keepdims=True)
+    rows[0] = first
+    return total
+
+
 class Network:
     """An ordered layer stack with its parameter tensors."""
 
@@ -66,7 +113,9 @@ class Network:
         self.specs = list(specs) if specs is not None else Architecture().specs()
         self.seed = seed
         self.dtype = dtype
-        in_shapes = [(input_length, 1), *infer_shapes(self.specs, input_length)[:-1]]
+        self.shapes = infer_shapes(self.specs, input_length)
+        self.n_seq = next((i for i, shape in enumerate(self.shapes) if len(shape) != 2), len(self.shapes))
+        in_shapes = [(input_length, 1), *self.shapes[:-1]]
         rng = np.random.default_rng(seed)
         self.params: list[dict[str, np.ndarray]] = [
             spec.init(shape, rng, dtype) for spec, shape in zip(self.specs, in_shapes)
@@ -95,12 +144,17 @@ class Network:
         (layer inputs, dense activations, masks); without, no layer's cache
         outlives the layer.
 
-        At inference without caches, the leading layers whose output is a
-        sequence (conv, pool, dropout) run one row at a time, each row's
-        result written into one (rows, length, channels) array that the
-        later layers take as one batch (Alwani et al. 2016, *Fused-Layer CNN
-        Accelerators*). Those layers treat rows alike, so the bytes are the
-        batched loop's, and no sequence output the size of a batch is made.
+        The sequence layers run on ranges of rows, each range's last output
+        written into its rows of one (rows, length, channels) array that the
+        later layers take as one batch. Without caches each range is one row,
+        run in turn, so no sequence output the size of a batch is made (Alwani
+        et al. 2016, *Fused-Layer CNN Accelerators*). With caches (a training
+        step) there is one range per CPU (`WORKERS`), each on its own thread,
+        and a sequence layer's cache is a list of its ranges' caches
+        (Krizhevsky 2014, *One weird trick for parallelizing convolutional
+        neural networks*). The sequence layers' dropout masks are drawn for
+        the whole batch, in layer order, before the ranges run. Rows are
+        treated alike, so the bytes do not depend on the ranges.
         """
         if x.ndim != 2 or x.shape[1] != self.input_length:
             raise ValueError(f"expected input (batch, {self.input_length}), got {x.shape}")
@@ -111,31 +165,50 @@ class Network:
             return sample_dropout_mask(rng, shape, rate)
 
         cur = x.astype(self.dtype, copy=False)[:, :, None]
-        layers = list(zip(self.specs, self.params))
-        if not (train or want_caches):
-            shapes = infer_shapes(self.specs, self.input_length)
-            n_seq = next((i for i, shape in enumerate(shapes) if len(shape) != 2), len(shapes))
-            if n_seq:
-                seq = np.empty((len(cur), *shapes[n_seq - 1]), dtype=self.dtype)
-                for i in range(len(cur)):
-                    row = cur[i : i + 1]
-                    for spec, params in layers[:n_seq]:
-                        row, _ = spec.forward(row, params, None)
-                    seq[i] = row[0]
-                cur, layers = seq, layers[n_seq:]
+        n_seq, rows = self.n_seq, len(cur)
         caches = []
-        for spec, params in layers:
+        if n_seq:
+            masks = [
+                mask_source((rows, *shape), spec.rate)
+                if train and isinstance(spec, DropoutSpec) and spec.rate > 0 else None
+                for spec, shape in zip(self.specs[:n_seq], self.shapes)
+            ]
+            seq = np.empty((rows, *self.shapes[n_seq - 1]), dtype=self.dtype)
+
+            def run(r, lo, hi):
+                out, kept = cur[lo:hi], []
+                for spec, params, mask in zip(self.specs, self.params, masks):
+                    source = None if mask is None else lambda shape, rate: mask[lo:hi]
+                    out, cache = spec.forward(out, params, source)
+                    if want_caches:
+                        kept.append(cache)
+                seq[lo:hi] = out
+                return kept
+
+            if want_caches:
+                ranges = _row_ranges(rows, max(1, min(WORKERS, rows)))
+                caches = [list(layer) for layer in zip(*_on_threads(run, ranges))]
+            else:
+                for r in range(rows):
+                    run(r, r, r + 1)
+            cur = seq
+        for spec, params in zip(self.specs[n_seq:], self.params[n_seq:]):
             cur, cache = spec.forward(cur, params, mask_source if train else None)
             if want_caches:
                 caches.append(cache)
         return (cur, caches) if want_caches else cur
 
     def dropout_masks_from_caches(self, caches) -> list:
-        return [
-            cache
-            for spec, cache in zip(self.specs, caches)
-            if isinstance(spec, DropoutSpec) and cache is not None
-        ]
+        """Each dropout layer's whole-batch mask, in layer order; a sequence
+        layer's is joined from its row ranges."""
+        masks = []
+        for i, (spec, cache) in enumerate(zip(self.specs, caches)):
+            if isinstance(spec, DropoutSpec):
+                if i < self.n_seq:
+                    cache = None if cache[0] is None else np.concatenate(cache)
+                if cache is not None:
+                    masks.append(cache)
+        return masks
 
     def backward(self, dout: np.ndarray, caches: list) -> list[dict[str, np.ndarray]]:
         """Gradients of every parameter tensor given d(loss)/d(output).
@@ -144,13 +217,58 @@ class Network:
         backward has run, so a layer's cache is freed before the layers
         below it run. A second backward needs a new forward pass; caches
         that are all None are refused.
+
+        The sequence layers run on the forward pass's row ranges, each on
+        its own thread. Each range adds its rows' gradient addends to the
+        running sums the range before it passes on (`_sum_rows`), so the
+        bytes are those of one whole-batch sum.
         """
         if caches is None or len(caches) != len(self.specs) or all(cache is None for cache in caches):
             raise ValueError("backward requires the caches of a completed forward pass")
+        n_seq = self.n_seq
         grads: list = [None] * len(self.specs)
         grad = dout
-        for i in reversed(range(len(self.specs))):
-            grad, grads[i] = self.specs[i].backward(grad, caches[i], self.params[i])
+        for i in reversed(range(n_seq, len(self.specs))):
+            grad, grads[i] = self.specs[i].backward(grad, caches[i], self.params[i], i > 0)
+            caches[i] = None
+        if not n_seq:
+            return grads
+
+        # links[i][r]: layer i's running sums after range r's rows, which
+        # range r + 1 continues; a Future carries them, or range r's
+        # exception, from one thread to the next. concurrent.futures is
+        # imported only by training: it loads `logging`, about 7 ms of the
+        # start-up of every command that imports this module.
+        from concurrent.futures import Future
+
+        ranges = _row_ranges(len(grad), len(caches[0]))
+        links = [[Future() for _ in ranges] for _ in range(n_seq)]
+
+        def run(r, lo, hi):
+            dy = grad[lo:hi]
+            try:
+                for i in reversed(range(n_seq)):
+                    dy, addends = self.specs[i].backward(dy, caches[i][r], self.params[i], i > 0)
+                    caches[i][r] = None
+                    if r:
+                        before = links[i][r - 1].result()
+                    else:
+                        before = {key: [None] * len(groups) for key, groups in addends.items()}
+                    links[i][r].set_result(
+                        {key: list(map(_sum_rows, before[key], groups)) for key, groups in addends.items()}
+                    )
+            except BaseException as exc:
+                for layer in links:
+                    if not layer[r].done():
+                        layer[r].set_exception(exc)
+                raise
+
+        _on_threads(run, ranges)
+        for i in range(n_seq):
+            grads[i] = {
+                key: np.stack([rows.sum(axis=0) for rows in groups]).reshape(self.params[i][key].shape)
+                for key, groups in links[i][-1].result().items()
+            }
             caches[i] = None
         return grads
 

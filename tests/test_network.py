@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -14,8 +16,19 @@ import pytest
 
 import spikesev
 from helpers import scaled_stack
+from spikesev import network as network_module
 from spikesev.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from spikesev.layers import Conv1DSpec, DenseSpec, DropoutSpec, LSTMSpec
+from spikesev.layers import (
+    Conv1DSpec,
+    DenseSpec,
+    DropoutSpec,
+    LSTMSpec,
+    MaxPool1DSpec,
+    conv1d_backward,
+    lstm_backward,
+    lstm_forward,
+    sample_dropout_mask,
+)
 from spikesev.network import (
     AdamState,
     Architecture,
@@ -197,7 +210,7 @@ class TestBackwardConsumesCaches:
 
         monkeypatch.setattr(Conv1DSpec, "backward", recording)
         tiny_net.backward(np.ones_like(out), caches)
-        assert alive == [[False, False]]
+        assert alive and all(seen == [False, False] for seen in alive)  # one call per row range
 
     def test_stock_train_step_peak(self):
         """tracemalloc peak of one stock step at width 1000, batch 8: 3.35x
@@ -730,6 +743,248 @@ def test_threaded_blas_step_is_reproducible():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+_ONE_STOCK_STEP_ON_WORKERS = "import spikesev.network\nspikesev.network.WORKERS = {workers}\n" + _ONE_STOCK_STEP
+
+
+def test_threaded_blas_step_does_not_depend_on_the_worker_count():
+    """At two BLAS threads, one stock step at 1/8 paper width gives the same
+    parameter bytes on one row range as on two."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(spikesev.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    digests = []
+    for workers in (1, 2):
+        proc = subprocess.run([sys.executable, "-c", _ONE_STOCK_STEP_ON_WORKERS.format(workers=workers)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def _ref_forward_backward(net: Network, x: np.ndarray, rng, dout_of):
+    """One training pass as the layer loop ran it before the sequence layers
+    took row ranges: every layer forward on the whole batch, drawing its
+    dropout mask as it comes, then every layer backward, a convolution's
+    `dw` as each tap's batched product summed over the batch and its `db` as
+    one sum over rows and positions. Returns (output, gradients, dropout
+    masks); `dout_of(output)` gives d(loss)/d(output)."""
+    cur = x.astype(net.dtype)[:, :, None]
+    caches = []
+    for spec, params in zip(net.specs, net.params):
+        cur, cache = spec.forward(cur, params, lambda shape, rate: sample_dropout_mask(rng, shape, rate))
+        caches.append(cache)
+    masks = [c for spec, c in zip(net.specs, caches) if isinstance(spec, DropoutSpec) and c is not None]
+    grad = dout_of(cur)
+    grads = [None] * len(net.specs)
+    for i in reversed(range(len(net.specs))):
+        spec, params = net.specs[i], net.params[i]
+        if isinstance(spec, Conv1DSpec):
+            x_in, w, steps = caches[i], params["w"], grad.shape[1]
+            dw = np.stack([(x_in[:, j : j + steps].transpose(0, 2, 1) @ grad).sum(axis=0) for j in range(len(w))])
+            grads[i] = {"w": dw, "b": grad.sum(axis=(0, 1))}
+            grad, _, _ = conv1d_backward(grad, x_in, w)
+        else:
+            grad, grads[i] = spec.backward(grad, caches[i], params, True)
+    return cur, grads, masks
+
+
+def _dout_of(out: np.ndarray) -> np.ndarray:
+    """An output gradient drawn from a seed fixed by the output's size."""
+    return np.random.default_rng(out.size).normal(size=out.shape).astype(out.dtype)
+
+
+def _param_bytes_of(layers: list[dict[str, np.ndarray]]) -> bytes:
+    return b"".join(layer[k].tobytes() for layer in layers for k in sorted(layer))
+
+
+class TestRowRangeTraining:
+    """A training step runs its sequence layers on one row range per worker
+    (`network.WORKERS`). Outputs, dropout masks, gradients and the updated
+    parameters keep the bytes of one whole-batch layer loop."""
+
+    STACKS = {
+        "stock-300": (300, None),
+        "scaled-60": (60, scaled_stack(n_stages=2, filters=5, lstm_units=6, dense_units=7)),
+        "lstm-first": (40, [LSTMSpec(6), DenseSpec(5, "relu"), DropoutSpec(0.2), DenseSpec(1, "sigmoid")]),
+        "sequence-only": (30, [Conv1DSpec(3, 4), DropoutSpec(0.3)]),
+        # one filter on one channel: numpy sums its weight and bias terms pairwise
+        "one-filter": (50, [Conv1DSpec(1, 3), MaxPool1DSpec(2), DropoutSpec(0.2), LSTMSpec(3),
+                            DenseSpec(1, "sigmoid")]),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stack, rows", [(name, 7) for name in STACKS] + [("one-filter", 20)])
+    def test_two_steps_keep_the_whole_batch_bytes(self, monkeypatch, stack, rows, dtype, workers):
+        monkeypatch.setattr(network_module, "WORKERS", workers)
+        width, specs = self.STACKS[stack]
+        net = Network(width, specs, seed=6, dtype=dtype)
+        ref = Network(width, specs, seed=6, dtype=dtype)
+        opt, ref_opt = AdamState.for_network(net), AdamState.for_network(ref)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for step in range(2):
+            x = np.random.default_rng(step).normal(size=(rows, width)).astype(np.float32)
+            want_out, want_grads, want_masks = _ref_forward_backward(ref, x, ref_rng, _dout_of)
+            out, caches = net.forward(x, train=True, rng=rng, want_caches=True)
+            assert out.tobytes() == want_out.tobytes()
+            masks = net.dropout_masks_from_caches(caches)
+            assert [m.tobytes() for m in masks] == [m.tobytes() for m in want_masks]
+            grads = net.backward(_dout_of(out), caches)
+            for layer, want in zip(grads, want_grads):
+                assert layer.keys() == want.keys()
+                for key in layer:
+                    assert layer[key].dtype == want[key].dtype and layer[key].shape == want[key].shape
+                    assert layer[key].tobytes() == want[key].tobytes(), key
+            adam_step(opt, net.params, grads)
+            adam_step(ref_opt, ref.params, want_grads)
+        assert _param_bytes_of(net.params) == _param_bytes_of(ref.params)
+
+    @pytest.mark.parametrize("rows, parts, ranges", [
+        (7, 3, [(0, 2), (2, 4), (4, 7)]),
+        (2, 2, [(0, 1), (1, 2)]),
+        (5, 1, [(0, 5)]),
+        (0, 1, [(0, 0)]),
+    ])
+    def test_row_ranges_are_contiguous_and_even(self, rows, parts, ranges):
+        assert network_module._row_ranges(rows, parts) == ranges
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_a_step_takes_one_range_per_worker_and_no_more_than_one_per_row(self, monkeypatch, workers):
+        monkeypatch.setattr(network_module, "WORKERS", workers)
+        net = Network(40, scaled_stack(n_stages=1, filters=3, lstm_units=4, dense_units=5), seed=5)
+        x = np.random.default_rng(0).normal(size=(3, 40)).astype(np.float32)
+        _, caches = net.forward(x, train=True, rng=np.random.default_rng(0), want_caches=True)
+        assert [len(caches[i]) for i in range(net.n_seq)] == [min(workers, 3)] * net.n_seq
+
+    @pytest.mark.parametrize("features", [1, 24])
+    @pytest.mark.parametrize("bounds", [[0, 7], [0, 3, 7], [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 6, 7]])
+    def test_running_bias_sum_over_ranges_is_the_whole_batch_sum(self, bounds, features):
+        dy = np.random.default_rng(4).normal(size=(7, 301, features)).astype(np.float32)
+        before = dy.copy()
+        total = None
+        for lo, hi in zip(bounds, bounds[1:]):
+            total = network_module._sum_rows(total, dy[lo:hi].reshape(-1, features))
+        assert total.sum(axis=0).tobytes() == dy.sum(axis=(0, 1)).tobytes()
+        assert dy.tobytes() == before.tobytes()  # seeded rows are restored
+
+    def test_sum_of_range_sums_is_not_the_whole_batch_sum(self):
+        """Why the ranges pass a running sum on: adding each range's own
+        sum rounds differently."""
+        dy = np.random.default_rng(4).normal(size=(7, 301, 24)).astype(np.float32)
+        by_range = dy[:3].sum(axis=(0, 1)) + dy[3:].sum(axis=(0, 1))
+        assert by_range.tobytes() != dy.sum(axis=(0, 1)).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_train_mode_without_an_rng_still_raises(self, monkeypatch, workers):
+        monkeypatch.setattr(network_module, "WORKERS", workers)
+        net = Network(40, scaled_stack(n_stages=1, filters=3, lstm_units=4, dense_units=5), seed=5)
+        x = np.random.default_rng(0).normal(size=(5, 40)).astype(np.float32)
+        with pytest.raises(ValueError, match="^train-mode dropout needs an rng$"):
+            net.forward(x, train=True, want_caches=True)
+
+    @pytest.mark.parametrize("rows, failing_rows", [(5, 1), (7, 3)], ids=["first-range", "last-range"])
+    @pytest.mark.parametrize("method", ["forward", "backward"])
+    def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch, method, rows, failing_rows):
+        """Three ranges of 1, 2, 2 or 2, 2, 3 rows, one of which fails: its
+        error surfaces, and no range waits forever for the running sums of
+        the range that failed."""
+        monkeypatch.setattr(network_module, "WORKERS", 3)
+        net = Network(40, scaled_stack(n_stages=2, filters=3, lstm_units=4, dense_units=5), seed=5)
+        x = np.random.default_rng(0).normal(size=(rows, 40)).astype(np.float32)
+        original = getattr(MaxPool1DSpec, method)
+
+        def failing_on_one_range(spec, data, *args):
+            if len(data) == failing_rows:
+                raise ValueError("refused by the test")
+            return original(spec, data, *args)
+
+        out, caches = net.forward(x, train=True, rng=np.random.default_rng(0), want_caches=True)
+        monkeypatch.setattr(MaxPool1DSpec, method, failing_on_one_range)
+        with pytest.raises(ValueError, match="^refused by the test$"):
+            if method == "forward":
+                net.forward(x, train=True, rng=np.random.default_rng(0), want_caches=True)
+            else:
+                net.backward(np.ones_like(out), caches)
+
+    def test_many_ranges_on_few_cores_under_rapid_switching(self, monkeypatch):
+        """More ranges than cores, with the interpreter switching threads
+        every microsecond: the step completes within a minute and a lost or
+        misordered update would change the gradient bytes."""
+        monkeypatch.setattr(network_module, "WORKERS", 6)
+        width, specs = self.STACKS["scaled-60"]
+        net = Network(width, specs, seed=6)
+        x = np.random.default_rng(1).normal(size=(11, width)).astype(np.float32)
+        _, want, _ = _ref_forward_backward(Network(width, specs, seed=6), x, np.random.default_rng(8), _dout_of)
+        got = []
+
+        def step():
+            out, caches = net.forward(x, train=True, rng=np.random.default_rng(8), want_caches=True)
+            got.append(net.backward(_dout_of(out), caches))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=step)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(got) == 1
+        assert _param_bytes_of(got[0]) == _param_bytes_of(want)
+
+    def test_inference_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference started a thread pool")
+
+        monkeypatch.setattr(network_module, "WORKERS", 2)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        net = Network(40, scaled_stack(n_stages=1, filters=3, lstm_units=4, dense_units=5), seed=5)
+        assert net.predict_scores(np.zeros((4, 40), dtype=np.float32)).shape == (4,)
+
+
+class TestFirstLayerInputGradient:
+    """Nothing reads the first layer's input gradient, so backward asks layer
+    0 not to compute it."""
+
+    def test_only_layer_0_is_spared_its_input_gradient(self, monkeypatch):
+        net = Network(40, scaled_stack(n_stages=2, filters=3, lstm_units=4, dense_units=5), seed=5)
+        x = np.random.default_rng(3).normal(size=(3, 40)).astype(np.float32)
+        out, caches = net.forward(x, train=True, rng=np.random.default_rng(0), want_caches=True)
+        seen = []
+        backward = Conv1DSpec.backward
+
+        def recording(spec, dy, cache, params, want_dx):
+            dx, grads = backward(spec, dy, cache, params, want_dx)
+            seen.append((params is net.params[0], want_dx, dx is None))
+            return dx, grads
+
+        monkeypatch.setattr(Conv1DSpec, "backward", recording)
+        net.backward(np.ones_like(out), caches)
+        assert sorted(set(seen)) == [(False, True, False), (True, False, True)]
+
+    def test_lstm_backward_without_dx_keeps_its_other_gradients(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 6, 4)).astype(np.float32)
+        w, u = rng.normal(size=(4, 12)).astype(np.float32), rng.normal(size=(3, 12)).astype(np.float32)
+        _, cache = lstm_forward(x, w, u, np.zeros(12, dtype=np.float32))
+        dh = rng.normal(size=(3, 3)).astype(np.float32)
+        with_dx = lstm_backward(dh, cache, w, u)
+        without = lstm_backward(dh, cache, w, u, want_dx=False)
+        assert without[0] is None and with_dx[0] is not None
+        assert [g.tobytes() for g in without[1:]] == [g.tobytes() for g in with_dx[1:]]
+
+    def test_conv_backward_without_dx_keeps_its_other_gradients(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 20, 2)).astype(np.float32)
+        w = rng.normal(size=(4, 2, 5)).astype(np.float32)
+        dy = rng.normal(size=(3, 17, 5)).astype(np.float32)
+        with_dx = conv1d_backward(dy, x, w)
+        without = conv1d_backward(dy, x, w, want_dx=False)
+        assert without[0] is None and with_dx[0] is not None
+        assert [g.tobytes() for g in without[1:]] == [g.tobytes() for g in with_dx[1:]]
+
 
 class TestUnusedParameterInvariance:
     """Widening a layer with parameters that cannot influence the output must

@@ -49,14 +49,15 @@ def trace():
 
 
 def _cache_bytes(x: np.ndarray) -> dict[str, int]:
-    """Bytes of every array each pool and LSTM layer caches on `x`."""
+    """Bytes of every array each pool and LSTM layer caches on `x`; a pool's
+    cache is one per row range."""
     net = Network(WIDTH, seed=SEED)
     _, caches = net.forward(x, train=True, rng=np.random.default_rng(0), want_caches=True)
     out, pools = {}, 0
     for spec, cache in zip(net.specs, caches):
         if isinstance(spec, MaxPool1DSpec):
             pools += 1
-            out[f"layers.pool{pools}.cache_bytes"] = sum(a.nbytes for a in cache)
+            out[f"layers.pool{pools}.cache_bytes"] = sum(a.nbytes for part in cache for a in part)
         elif isinstance(spec, LSTMSpec):
             out["layers.lstm.cache_bytes"] = sum(a.nbytes for a in cache)
     return out
