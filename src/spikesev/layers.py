@@ -246,9 +246,9 @@ def _one_channel_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, y: np.ndarr
             out += bias[:n]
 
 
-def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, want_dx: bool = True):
-    """(dx, dw, db) of one batch; dx is None unless `want_dx`."""
-    dx = conv1d_input_grad(dy, w, x.shape) if want_dx else None
+def conv1d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dx, dw, db) of one batch."""
+    dx = conv1d_input_grad(dy, w, x.shape)
     dw = np.stack([terms.sum(axis=0) for terms in conv1d_weight_terms(dy, x, w.shape[0])])
     db = dy.sum(axis=(0, 1))
     return dx, dw, db
