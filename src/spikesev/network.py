@@ -116,7 +116,9 @@ def _on_threads(fn, ranges: list[tuple[int, int]]) -> list:
     run side by side; a worker's exception reaches the caller."""
     if len(ranges) == 1:
         return [fn(0, *ranges[0])]
-    from concurrent.futures import ThreadPoolExecutor  # see Network.backward
+    # Imported here, so only training loads it: it loads `logging`, about
+    # 7 ms of the start-up of every command that imports this module.
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(len(ranges)) as pool:
         return list(pool.map(fn, range(len(ranges)), *zip(*ranges)))
@@ -258,10 +260,11 @@ class Network:
         below it run. A second backward needs a new forward pass; caches
         that are all None are refused.
 
-        The sequence layers run on the forward pass's row ranges, each on
-        its own thread. Each range adds its rows' gradient addends to the
-        running sums the range before it passes on (`_sum_rows`), so the
-        bytes are those of one whole-batch sum.
+        The sequence layers run on the forward pass's row ranges, one
+        fork/join per layer: each range runs the layer's backward on its own
+        thread, and after the join the calling thread adds the ranges'
+        gradient addends in range order (`_sum_rows`), so the bytes are
+        those of one whole-batch sum.
         """
         if caches is None or len(caches) != len(self.specs) or all(cache is None for cache in caches):
             raise ValueError("backward requires the caches of a completed forward pass")
@@ -274,43 +277,23 @@ class Network:
         if not n_seq:
             return grads
 
-        # links[i][r]: layer i's running sums after range r's rows, which
-        # range r + 1 continues and then drops; a Future carries them, or
-        # range r's exception, from one thread to the next.
-        # concurrent.futures is imported only by training: it loads
-        # `logging`, about 7 ms of the start-up of every command that
-        # imports this module.
-        from concurrent.futures import Future
-
         ranges = _row_ranges(len(grad), len(caches[0]))
-        links = [[Future() for _ in ranges] for _ in range(n_seq)]
+        dys = [grad[lo:hi] for lo, hi in ranges]
+        for i in reversed(range(n_seq)):
+            spec, params, cache = self.specs[i], self.params[i], caches[i]
 
-        def run(r, lo, hi):
-            dy = grad[lo:hi]
-            try:
-                for i in reversed(range(n_seq)):
-                    dy, addends = self.specs[i].backward(dy, caches[i][r], self.params[i], i > 0)
-                    caches[i][r] = None
-                    if r:
-                        before = links[i][r - 1].result()
-                        links[i][r - 1] = None
-                    else:
-                        before = {key: [None] * len(groups) for key, groups in addends.items()}
-                    links[i][r].set_result(
-                        {key: list(map(_sum_rows, before[key], groups)) for key, groups in addends.items()}
-                    )
-            except BaseException as exc:
-                for layer in links:
-                    link = layer[r]  # None once range r + 1 has read it
-                    if link is not None and not link.done():
-                        link.set_exception(exc)
-                raise
+            def run(r, lo, hi):
+                out = spec.backward(dys[r], cache[r], params, i > 0)
+                cache[r] = None
+                return out
 
-        _on_threads(run, ranges)
-        for i in range(n_seq):
+            dys, addends = zip(*_on_threads(run, ranges))
+            sums = {key: [None] * len(groups) for key, groups in addends[0].items()}
+            for part in addends:
+                sums = {key: list(map(_sum_rows, sums[key], groups)) for key, groups in part.items()}
             grads[i] = {
-                key: np.stack([rows.sum(axis=0) for rows in groups]).reshape(self.params[i][key].shape)
-                for key, groups in links[i][-1].result().items()
+                key: np.stack([rows.sum(axis=0) for rows in groups]).reshape(params[key].shape)
+                for key, groups in sums.items()
             }
             caches[i] = None
         return grads

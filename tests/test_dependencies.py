@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from helpers import cohort_fixture_texts
+from spikesev.checkpoint import save_checkpoint
 from spikesev.cli import main
+from spikesev.network import Network
+from spikesev.scales import default_registry
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "spikesev").glob("*.py"))
@@ -78,7 +81,8 @@ _PROBE = """
 import sys
 from spikesev.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("spikesev.")))
+shown = ("numpy", "concurrent.futures", "logging")
+print(code, *sorted(m for m in sys.modules if m in shown or m.startswith("spikesev.")))
 """
 
 MODEL_MODULES = {f"spikesev.{m}" for m in ("layers", "network", "training", "checkpoint", "evaluation", "gradcheck")}
@@ -128,3 +132,13 @@ def test_data_commands_load_no_model_module(stage_inputs, tmp_path, argv):
     loaded = _loaded_by([*argv, "--workdir", str(tmp_path)], stage_inputs)
     assert "spikesev.dataset" in loaded
     assert loaded & MODEL_MODULES == set()
+
+
+def test_evaluate_loads_no_thread_pool(stage_inputs, tmp_path):
+    """Only a training step's row ranges need `concurrent.futures`, which
+    loads `logging`: about 7 ms of start-up for every model command."""
+    save_checkpoint(Network(600, seed=3), tmp_path / "m.ckpt", default_registry().content_hash)
+    argv = ["evaluate", "--checkpoint", str(tmp_path / "m.ckpt"), "--matrix", "test.mat"]
+    loaded = _loaded_by([*argv, "--workdir", str(tmp_path)], stage_inputs)
+    assert "spikesev.network" in loaded
+    assert loaded & {"concurrent.futures", "logging"} == set()

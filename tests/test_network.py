@@ -212,10 +212,12 @@ class TestBackwardConsumesCaches:
         tiny_net.backward(np.ones_like(out), caches)
         assert alive and all(seen == [False, False] for seen in alive)  # one call per row range
 
-    def test_stock_train_step_peak(self):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_stock_train_step_peak(self, monkeypatch, workers):
         """tracemalloc peak of one stock step at width 1000, batch 8: 3.35x
         conv1's output when measured, against 4.79x with every cache kept
         until the backward pass ends."""
+        monkeypatch.setattr(network_module, "WORKERS", workers)
         net = Network(1000, seed=0)
         x = np.random.default_rng(0).normal(size=(8, 1000)).astype(np.float32)
         optimizer = AdamState.for_network(net)
@@ -903,8 +905,8 @@ class TestRowRangeTraining:
         assert dy.tobytes() == before.tobytes()  # seeded rows are restored
 
     def test_sum_of_range_sums_is_not_the_whole_batch_sum(self):
-        """Why the ranges pass a running sum on: adding each range's own
-        sum rounds differently."""
+        """Why the join adds the ranges' rows as one running sum: adding
+        each range's own sum rounds differently."""
         dy = np.random.default_rng(4).normal(size=(7, 301, 24)).astype(np.float32)
         by_range = dy[:3].sum(axis=(0, 1)) + dy[3:].sum(axis=(0, 1))
         assert by_range.tobytes() != dy.sum(axis=(0, 1)).tobytes()
@@ -921,8 +923,7 @@ class TestRowRangeTraining:
     @pytest.mark.parametrize("method", ["forward", "backward"])
     def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch, method, rows, failing_rows):
         """Three ranges of 1, 2, 2 or 2, 2, 3 rows, one of which fails: its
-        error surfaces, and no range waits forever for the running sums of
-        the range that failed."""
+        error surfaces from the join, and the call returns."""
         monkeypatch.setattr(network_module, "WORKERS", 3)
         net = Network(40, scaled_stack(n_stages=2, filters=3, lstm_units=4, dense_units=5), seed=5)
         x = np.random.default_rng(0).normal(size=(rows, 40)).astype(np.float32)
