@@ -46,7 +46,7 @@ class Conv1DSpec:
         w = rng.uniform(-limit, limit, (self.kernel, in_channels, self.filters))
         return {"w": w.astype(dtype), "b": np.zeros(self.filters, dtype=dtype)}
 
-    def forward(self, x, params, mask_source):
+    def forward(self, x, params, mask_source, want_cache):
         return conv1d_forward(x, params["w"], params["b"])
 
     def backward(self, dy, cache, params, want_dx):
@@ -78,8 +78,8 @@ class MaxPool1DSpec:
     def init(self, in_shape, rng, dtype) -> dict:
         return {}
 
-    def forward(self, x, params, mask_source):
-        return maxpool1d_forward(x, self.pool)
+    def forward(self, x, params, mask_source, want_cache):
+        return maxpool1d_forward(x, self.pool, want_cache)
 
     def backward(self, dy, cache, params, want_dx):
         return maxpool1d_backward(dy, cache, self.pool), {}
@@ -100,7 +100,7 @@ class DropoutSpec:
     def init(self, in_shape, rng, dtype) -> dict:
         return {}
 
-    def forward(self, x, params, mask_source):
+    def forward(self, x, params, mask_source, want_cache):
         """Identity (cache None) at inference or at rate 0; otherwise draws
         its mask from `mask_source(shape, rate)` and caches it."""
         if mask_source is None or self.rate == 0.0:
@@ -136,7 +136,7 @@ class LSTMSpec:
         b[self.units : 2 * self.units] = 1.0
         return {"w": w.astype(dtype), "u": u.astype(dtype), "b": b}
 
-    def forward(self, x, params, mask_source):
+    def forward(self, x, params, mask_source, want_cache):
         return lstm_forward(x, params["w"], params["u"], params["b"])
 
     def backward(self, dy, cache, params, want_dx):
@@ -167,7 +167,7 @@ class DenseSpec:
         w = rng.uniform(-limit, limit, (in_features, self.units))
         return {"w": w.astype(dtype), "b": np.zeros(self.units, dtype=dtype)}
 
-    def forward(self, x, params, mask_source):
+    def forward(self, x, params, mask_source, want_cache):
         return dense_forward(x, params["w"], params["b"], self.activation)
 
     def backward(self, dy, cache, params, want_dx):
@@ -286,33 +286,42 @@ def _tiles(x: np.ndarray, pool: int) -> np.ndarray:
     return x[:, : out_len * pool, :].reshape(b, out_len, pool, c)
 
 
-def maxpool1d_forward(x: np.ndarray, pool: int):
-    return _tiles(x, pool).max(axis=2), (x,)
+def maxpool1d_forward(x: np.ndarray, pool: int, want_cache: bool = True):
+    """(window maxima, (routed,)), or (window maxima, None) without `want_cache`.
+
+    `routed` is one bool per input position, True where the position is its
+    window's first maximum, as `argmax` picks it: each offset is marked where
+    it equals its window's maximum and no earlier offset was. A window holding
+    NaN, and the dropped remainder, route nowhere (argmax would pick the first
+    NaN); training refuses a non-finite loss before any backward pass. Cached
+    in place of the input, the mask takes a quarter of a float32 input's bytes
+    and spares the backward the maxima (Jain et al. 2018, *Gist: Efficient
+    Data Encoding for Deep Neural Network Training*)."""
+    tiles = _tiles(x, pool)
+    y = tiles.max(axis=2)
+    if not want_cache:
+        return y, None
+    routed = np.zeros(x.shape, dtype=bool)
+    hits = _tiles(routed, pool)
+    taken = np.zeros(y.shape, dtype=bool)
+    for j in range(pool):
+        hit = hits[:, :, j]
+        np.equal(tiles[:, :, j], y, out=hit)
+        np.greater(hit, taken, out=hit)  # hit and not taken
+        taken |= hit
+    return y, (routed,)
 
 
 def maxpool1d_backward(dy: np.ndarray, cache, pool: int):
-    """Each window's gradient goes to its first maximum, as `argmax` picks it.
-
-    The window maxima are recomputed, then each offset takes `dy` where it
-    equals its window's maximum and no earlier offset did. A window holding
-    NaN routes its gradient nowhere (argmax would pick the first NaN);
-    training refuses a non-finite loss before any backward pass.
-    """
-    (x,) = cache
-    tiles = _tiles(x, pool)
-    y = tiles.max(axis=2)
-    dx = np.zeros(x.shape, dtype=dy.dtype)
+    """Each window's gradient goes to the position its forward's mask routes it to."""
+    (routed,) = cache
+    dx = np.zeros(routed.shape, dtype=dy.dtype)
     # Multiply bit patterns, not floats: dy * False would leave -0.0 where
     # dy < 0 (NaN where dy is infinite), not the +0.0 of an unrouted slot.
     bits = np.dtype(f"u{dx.itemsize}")
-    dbits, dy_bits = _tiles(dx.view(bits), pool), dy.view(bits)
-    taken = np.zeros(dy.shape, dtype=bool)
-    hit = np.empty(dy.shape, dtype=bool)
+    dbits, dy_bits, hits = _tiles(dx.view(bits), pool), dy.view(bits), _tiles(routed, pool)
     for j in range(pool):
-        np.equal(tiles[:, :, j], y, out=hit)
-        np.greater(hit, taken, out=hit)  # hit and not taken
-        np.multiply(dy_bits, hit, out=dbits[:, :, j])
-        taken |= hit
+        np.multiply(dy_bits, hits[:, :, j], out=dbits[:, :, j])
     return dx
 
 
@@ -320,8 +329,23 @@ def maxpool1d_backward(dy: np.ndarray, cache, pool: int):
 # Dropout (inverted: survivors scaled by 1/(1-rate) at train time; the gradient
 # takes the same mask and scale, so backward is the forward function)
 
+# Uniform draws per chunk of a dropout mask: 256 KiB of float64, which stay
+# in L2 between the draw and the comparison.
+DROPOUT_CHUNK = 1 << 15
+
+
 def sample_dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    return rng.random(shape) >= rate
+    """The bytes of `rng.random(shape) >= rate`, and the generator left in the
+    same state, drawn DROPOUT_CHUNK at a time into one reused buffer instead
+    of a float64 array the size of the mask."""
+    mask = np.empty(shape, dtype=bool)
+    flat = mask.reshape(-1)
+    draws = np.empty(min(flat.size, DROPOUT_CHUNK))
+    for start in range(0, flat.size, DROPOUT_CHUNK):
+        part = draws[: min(DROPOUT_CHUNK, flat.size - start)]
+        rng.random(out=part)
+        np.greater_equal(part, rate, out=flat[start : start + len(part)])
+    return mask
 
 
 def dropout_forward(x: np.ndarray, rate: float, mask: np.ndarray) -> np.ndarray:

@@ -18,8 +18,11 @@ ranges of rows. A spec class provides:
 - `out_shape(in_shape)`: the output shape, or raises `ShapeError`;
 - `init(in_shape, rng, dtype)`: a dict of parameter tensors (empty if the
   layer has none). Layers draw from one shared `rng` in stack order;
-- `forward(x, params, mask_source)` -> `(y, cache)`. `mask_source` is None
-  at inference, else a callable `(shape, rate) -> dropout mask`;
+- `forward(x, params, mask_source, want_cache)` -> `(y, cache)`. In
+  training a dropout layer's `mask_source` is a callable `(shape, rate) ->
+  dropout mask`; at inference it is None, and a layer that draws no mask may
+  get None in training too. With `want_cache` false (no backward pass
+  follows) a layer may skip its cache and return None for it;
 - `backward(dy, cache, params, want_dx)` -> `(dx, grads)`, `grads` keyed
   like `params`. With `want_dx` false (layer 0, whose input gradient nothing
   reads) a layer may skip `dx` and return None for it. A sequence layer
@@ -183,8 +186,9 @@ class Network:
 
         In train mode dropout masks are sampled from `rng`. With
         `want_caches` it also returns the caches the backward pass needs
-        (layer inputs, dense activations, masks); without, no layer's cache
-        outlives the layer.
+        (layer inputs, pool routing masks, dense activations, dropout
+        masks); without, a pool builds no mask and no layer's cache outlives
+        the layer.
 
         The sequence layers run on ranges of rows, each range's last output
         written into its rows of one (rows, length, channels) array that the
@@ -221,7 +225,7 @@ class Network:
                 out, kept = cur[lo:hi], []
                 for spec, params, mask in zip(self.specs, self.params, masks):
                     source = None if mask is None else lambda shape, rate: mask[lo:hi]
-                    out, cache = spec.forward(out, params, source)
+                    out, cache = spec.forward(out, params, source, want_caches)
                     if want_caches:
                         kept.append(cache)
                 seq[lo:hi] = out
@@ -235,7 +239,7 @@ class Network:
                     run(r, r, r + 1)
             cur = seq
         for spec, params in zip(self.specs[n_seq:], self.params[n_seq:]):
-            cur, cache = spec.forward(cur, params, mask_source if train else None)
+            cur, cache = spec.forward(cur, params, mask_source if train else None, want_caches)
             if want_caches:
                 caches.append(cache)
         return (cur, caches) if want_caches else cur
