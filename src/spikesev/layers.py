@@ -46,7 +46,7 @@ class Conv1DSpec:
         w = rng.uniform(-limit, limit, (self.kernel, in_channels, self.filters))
         return {"w": w.astype(dtype), "b": np.zeros(self.filters, dtype=dtype)}
 
-    def forward(self, x, params, mask_source, want_cache):
+    def forward(self, x, params, mask, want_cache):
         return conv1d_forward(x, params["w"], params["b"])
 
     def backward(self, dy, cache, params, want_dx):
@@ -78,7 +78,7 @@ class MaxPool1DSpec:
     def init(self, in_shape, rng, dtype) -> dict:
         return {}
 
-    def forward(self, x, params, mask_source, want_cache):
+    def forward(self, x, params, mask, want_cache):
         return maxpool1d_forward(x, self.pool, want_cache)
 
     def backward(self, dy, cache, params, want_dx):
@@ -100,12 +100,11 @@ class DropoutSpec:
     def init(self, in_shape, rng, dtype) -> dict:
         return {}
 
-    def forward(self, x, params, mask_source, want_cache):
-        """Identity (cache None) at inference or at rate 0; otherwise draws
-        its mask from `mask_source(shape, rate)` and caches it."""
-        if mask_source is None or self.rate == 0.0:
+    def forward(self, x, params, mask, want_cache):
+        """Identity (cache None) without a mask; otherwise applies `mask`,
+        `x`'s rows of the layer's dropout mask, and caches it."""
+        if mask is None:
             return x, None
-        mask = mask_source(x.shape, self.rate)
         return dropout_forward(x, self.rate, mask), mask
 
     def backward(self, dy, cache, params, want_dx):
@@ -136,7 +135,7 @@ class LSTMSpec:
         b[self.units : 2 * self.units] = 1.0
         return {"w": w.astype(dtype), "u": u.astype(dtype), "b": b}
 
-    def forward(self, x, params, mask_source, want_cache):
+    def forward(self, x, params, mask, want_cache):
         return lstm_forward(x, params["w"], params["u"], params["b"])
 
     def backward(self, dy, cache, params, want_dx):
@@ -167,7 +166,7 @@ class DenseSpec:
         w = rng.uniform(-limit, limit, (in_features, self.units))
         return {"w": w.astype(dtype), "b": np.zeros(self.units, dtype=dtype)}
 
-    def forward(self, x, params, mask_source, want_cache):
+    def forward(self, x, params, mask, want_cache):
         return dense_forward(x, params["w"], params["b"], self.activation)
 
     def backward(self, dy, cache, params, want_dx):

@@ -18,10 +18,9 @@ ranges of rows. A spec class provides:
 - `out_shape(in_shape)`: the output shape, or raises `ShapeError`;
 - `init(in_shape, rng, dtype)`: a dict of parameter tensors (empty if the
   layer has none). Layers draw from one shared `rng` in stack order;
-- `forward(x, params, mask_source, want_cache)` -> `(y, cache)`. In
-  training a dropout layer's `mask_source` is a callable `(shape, rate) ->
-  dropout mask`; at inference it is None, and a layer that draws no mask may
-  get None in training too. With `want_cache` false (no backward pass
+- `forward(x, params, mask, want_cache)` -> `(y, cache)`. In training a
+  dropout layer of rate > 0 gets `x`'s rows of its dropout mask as `mask`;
+  every other call gets None. With `want_cache` false (no backward pass
   follows) a layer may skip its cache and return None for it;
 - `backward(dy, cache, params, want_dx)` -> `(dx, grads)`, `grads` keyed
   like `params`. With `want_dx` false (layer 0, whose input gradient nothing
@@ -172,23 +171,30 @@ class Network:
     def zero_like_params(self) -> list[dict[str, np.ndarray]]:
         return [{k: np.zeros_like(v) for k, v in layer.items()} for layer in self.params]
 
+    def _weights(self):
+        """(layer index, key, tensor) for every weight tensor, in stack
+        order: every parameter tensor but the biases."""
+        for i, layer in enumerate(self.params):
+            for key, tensor in layer.items():
+                if key != "b":
+                    yield i, key, tensor
+
     def weight_squared_sum(self) -> float:
         """Sum of squared weight-matrix entries; biases excluded."""
         total = 0.0
-        for layer in self.params:
-            for key, tensor in layer.items():
-                if key != "b":
-                    total += float((tensor.astype(np.float64) ** 2).sum())
+        for _, _, tensor in self._weights():
+            total += float((tensor.astype(np.float64) ** 2).sum())
         return total
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None, want_caches: bool = False):
         """Run the stack on a (batch, input_length) matrix.
 
-        In train mode dropout masks are sampled from `rng`. With
-        `want_caches` it also returns the caches the backward pass needs
-        (layer inputs, pool routing masks, dense activations, dropout
-        masks); without, a pool builds no mask and no layer's cache outlives
-        the layer.
+        In train mode each dropout layer of rate > 0 gets a whole-batch mask,
+        all drawn from `rng` in layer order before any layer runs, and each
+        call of the layer takes its rows of it. With `want_caches` it also
+        returns the caches the backward pass needs (layer inputs, pool
+        routing masks, dense activations, dropout masks); without, a pool
+        builds no mask and no layer's cache outlives the layer.
 
         The sequence layers run on ranges of rows, each range's last output
         written into its rows of one (rows, length, channels) array that the
@@ -198,34 +204,27 @@ class Network:
         step) there is one range per worker (`WORKERS`), each on its own thread,
         and a sequence layer's cache is a list of its ranges' caches
         (Krizhevsky 2014, *One weird trick for parallelizing convolutional
-        neural networks*). The sequence layers' dropout masks are drawn for
-        the whole batch, in layer order, before the ranges run. Rows are
-        treated alike, so the bytes do not depend on the ranges.
+        neural networks*). Rows are treated alike, so the bytes do not depend
+        on the ranges.
         """
         if x.ndim != 2 or x.shape[1] != self.input_length:
             raise ValueError(f"expected input (batch, {self.input_length}), got {x.shape}")
-
-        def mask_source(shape, rate):
-            if rng is None:
-                raise ValueError("train-mode dropout needs an rng")
-            return sample_dropout_mask(rng, shape, rate)
-
         cur = x.astype(self.dtype, copy=False)[:, :, None]
         n_seq, rows = self.n_seq, len(cur)
+        masks = [None] * len(self.specs)
+        for i, (spec, shape) in enumerate(zip(self.specs, self.shapes)):
+            if train and isinstance(spec, DropoutSpec) and spec.rate > 0:
+                if rng is None:
+                    raise ValueError("train-mode dropout needs an rng")
+                masks[i] = sample_dropout_mask(rng, (rows, *shape), spec.rate)
         caches = []
         if n_seq:
-            masks = [
-                mask_source((rows, *shape), spec.rate)
-                if train and isinstance(spec, DropoutSpec) and spec.rate > 0 else None
-                for spec, shape in zip(self.specs[:n_seq], self.shapes)
-            ]
             seq = np.empty((rows, *self.shapes[n_seq - 1]), dtype=self.dtype)
 
             def run(r, lo, hi):
                 out, kept = cur[lo:hi], []
-                for spec, params, mask in zip(self.specs, self.params, masks):
-                    source = None if mask is None else lambda shape, rate: mask[lo:hi]
-                    out, cache = spec.forward(out, params, source, want_caches)
+                for spec, params, mask in zip(self.specs[:n_seq], self.params, masks):
+                    out, cache = spec.forward(out, params, None if mask is None else mask[lo:hi], want_caches)
                     if want_caches:
                         kept.append(cache)
                 seq[lo:hi] = out
@@ -238,8 +237,8 @@ class Network:
                 for r in range(rows):
                     run(r, r, r + 1)
             cur = seq
-        for spec, params in zip(self.specs[n_seq:], self.params[n_seq:]):
-            cur, cache = spec.forward(cur, params, mask_source if train else None, want_caches)
+        for spec, params, mask in zip(self.specs[n_seq:], self.params[n_seq:], masks[n_seq:]):
+            cur, cache = spec.forward(cur, params, mask, want_caches)
             if want_caches:
                 caches.append(cache)
         return (cur, caches) if want_caches else cur
@@ -304,10 +303,8 @@ class Network:
 
     def add_l2_gradients(self, grads, lam: float) -> None:
         """Add d(lam * sum w^2)/dw = 2*lam*w to every weight gradient."""
-        for layer_params, layer_grads in zip(self.params, grads):
-            for key, tensor in layer_params.items():
-                if key != "b":
-                    layer_grads[key] = layer_grads[key] + 2.0 * lam * tensor
+        for i, key, tensor in self._weights():
+            grads[i][key] = grads[i][key] + 2.0 * lam * tensor
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode scores in [0, 1], one per row: the sequence layers

@@ -704,15 +704,6 @@ def test_lstm_forward_holds_less_than_its_input():
     assert peak < x.nbytes, (peak, x.nbytes)
 
 
-def test_maxpool_backward_holds_dx_the_window_maxima_and_two_masks():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(4, 3000, 8)).astype(np.float32)
-    y, cache = maxpool1d_forward(x, 2)
-    dy = rng.normal(size=y.shape).astype(np.float32)
-    dx, peak = _traced_peak(maxpool1d_backward, dy, cache, 2)
-    assert peak <= 2.1 * dx.nbytes, (peak, dx.nbytes)
-
-
 @pytest.mark.parametrize("pool", [2, 3])
 def test_maxpool_backward_allocates_only_dx(pool):
     """The routing mask spares the backward the window maxima and its own

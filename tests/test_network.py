@@ -136,6 +136,22 @@ class TestForwardBackward:
         no_dropout = Network(40, [s for s in tiny_net.specs if not isinstance(s, DropoutSpec)], seed=5)
         assert no_dropout.forward(x, train=True).tobytes() == no_dropout.forward(x).tobytes()
 
+    def test_dropout_draws_each_mask_of_rate_above_zero_in_layer_order(self):
+        """A train-mode forward draws one whole-batch mask per dropout layer of
+        rate > 0, sequence layers first, and nothing for rate 0; inference
+        draws nothing."""
+        specs = [Conv1DSpec(3, 4), DropoutSpec(0.0), MaxPool1DSpec(2), DropoutSpec(0.3),
+                 LSTMSpec(4), DenseSpec(5, "relu"), DropoutSpec(0.2), DenseSpec(1, "sigmoid")]
+        net = Network(40, specs, seed=5)
+        x = np.random.default_rng(0).normal(size=(3, 40)).astype(np.float32)
+        rng, want = np.random.default_rng(9), np.random.default_rng(9)
+        net.forward(x, train=True, rng=rng)
+        sample_dropout_mask(want, (3, *net.shapes[3]), 0.3)
+        sample_dropout_mask(want, (3, *net.shapes[6]), 0.2)
+        assert rng.bit_generator.state == want.bit_generator.state
+        net.forward(x, rng=rng)
+        assert rng.bit_generator.state == want.bit_generator.state
+
     def test_output_in_unit_interval(self, tiny_net):
         x = np.random.default_rng(1).normal(size=(6, 40)).astype(np.float32)
         y = tiny_net.forward(x)
@@ -777,7 +793,9 @@ def _ref_forward_backward(net: Network, x: np.ndarray, rng, dout_of):
     cur = x.astype(net.dtype)[:, :, None]
     caches = []
     for spec, params in zip(net.specs, net.params):
-        cur, cache = spec.forward(cur, params, lambda shape, rate: sample_dropout_mask(rng, shape, rate), True)
+        drops = isinstance(spec, DropoutSpec) and spec.rate > 0
+        mask = sample_dropout_mask(rng, cur.shape, spec.rate) if drops else None
+        cur, cache = spec.forward(cur, params, mask, True)
         caches.append(cache)
     masks = [c for spec, c in zip(net.specs, caches) if isinstance(spec, DropoutSpec) and c is not None]
     grad = dout_of(cur)
