@@ -36,6 +36,10 @@ MATRIX_MAX_COLS = 2**32 - 1
 # `write_split` stream a matrix to disk.
 MATRIX_BLOCK_BYTES = 16 << 20
 
+# Bytes of the one reused float64 (rows, minority rows) block of approximate
+# squared distances through which `smote` searches for neighbours.
+NEIGHBOR_BLOCK_BYTES = 1 << 20
+
 
 class MatrixFormatError(ValueError):
     pass
@@ -298,12 +302,70 @@ def check_smote(y: np.ndarray, k: int) -> None:
         raise ValueError("SMOTE requires >=2 minority samples")
 
 
+def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
+    """Row i of the result is the first k of the stable argsort of
+    `np.sqrt(((rows[i] - rows) ** 2).sum(axis=1))` with entry i set to inf:
+    the k nearest of the other float64 `rows` (float32 values, n x d), ties
+    to the lower index and NaN last. Found in the two passes `smote`
+    describes, through one reused block of NEIGHBOR_BLOCK_BYTES."""
+    n, d = rows.shape
+    norms = np.einsum("ij,ij->i", rows, rows)
+    # The margin e_i bounds |GEMM form - exact form| for a finite pair. Let
+    # u = 2**-53 and N = |x_i|^2 + |x_j|^2. The rows hold float32 values, so
+    # every product of two is exact in float64, and a sum of m terms in any
+    # order, with or without FMA, is off by at most (m - 1)u times the sum
+    # of the terms' sizes (here and below to first order).
+    # - Exact form: the difference, its square and the sum of d squares put
+    #   each term off by (d + 2)u of itself, and the terms sum to at most 2N.
+    # - GEMM form: each norm is off by (d - 1)u of itself, 2 x_i.x_j by
+    #   (d - 1)u N (sum |x_it x_jt| <= N / 2), and its two additions round
+    #   by at most 2uN and 3uN.
+    # In all under (4d + 7)uN; e_i = (6d + 32)uN_i, N_i = |x_i|^2 +
+    # max_j |x_j|^2, leaves room for second-order terms and the rounding of
+    # e and the limit. A row or pair with inf or NaN has a non-finite GEMM
+    # value and an inf or NaN exact distance, which sorts after every finite
+    # one; a non-finite row i gets an inf or NaN limit, so every j.
+    margin = (3 * d + 16) * 2.0**-52 * (norms + np.max(norms, where=np.isfinite(norms), initial=0.0))
+    neighbor_idx = np.empty((n, k), dtype=np.int64)
+    buffer = np.empty((max(1, min(n, NEIGHBOR_BLOCK_BYTES // (8 * n))), n))
+    for lo in range(0, n, len(buffer)):
+        block = np.matmul(rows[lo : lo + len(buffer)], rows.T, out=buffer[: n - lo])
+        block *= -2.0
+        block += norms[lo : lo + len(block), None]
+        block += norms
+        for i, approx in enumerate(block, start=lo):
+            approx[i] = np.inf
+            kth = np.partition(approx, k - 1)[k - 1]
+            # The k-th smallest exact sum is at most kth + e_i, and a sum
+            # above it by a factor 1 + 8u has a larger square root even after
+            # both roots round: any j above the limit comes after k others.
+            # The limit is monotone in kth and at least kth + 4e_i, also for
+            # a kth slightly below zero (duplicate rows).
+            top = kth + 2 * margin[i]
+            cand = np.flatnonzero(~(approx > top + abs(top) * 2.0**-48 + 2 * margin[i]))
+            dists = np.sqrt(((rows[i] - rows[cand]) ** 2).sum(axis=1))
+            dists[cand == i] = np.inf
+            neighbor_idx[i] = cand[np.argsort(dists, kind="stable")[:k]]
+    return neighbor_idx
+
+
 def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     """Balance classes by interpolating synthetic minority samples.
 
     Each synthetic sample is x + lam * (z - x) for a random minority sample x,
-    one of its k nearest minority neighbours z (Euclidean) and lam ~ U[0, 1].
-    The original rows come first, unchanged, then the synthetics.
+    one of its k nearest minority neighbours z (Euclidean) and lam ~ U[0, 1],
+    computed in float64 and stored as float32. The original rows come first,
+    unchanged, then the synthetics, all written into one float32 matrix.
+
+    The neighbours are found in two passes (`_nearest_neighbors`). One GEMM
+    per block of minority rows gives approximate squared distances
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j, and every row whose value is not above a
+    row's k-th smallest plus a rounding margin (NaN and inf included) is its
+    candidate. The candidates are then ranked by their exact Euclidean
+    distance, ties to the lower row. The margin bounds the GEMM's rounding
+    for any summation order, so the candidates always hold the exact first
+    k: the neighbours, and the output bytes, depend neither on the BLAS nor
+    on its thread count, and no n x n array is held.
     """
     check_smote(m.y, k)
     counts = np.bincount(m.y, minlength=2)
@@ -314,24 +376,19 @@ def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     k = min(k, n_min - 1)
 
     minority_rows = m.x[m.y == minority].astype(np.float64)
-    # Pairwise distances, each row against the rows after it: a difference
-    # squares to the same bits either way round. Self excluded; argsort's
-    # stable order breaks ties by index.
-    dists = np.full((n_min, n_min), np.inf)
-    for i, row in enumerate(minority_rows):
-        dists[i, i + 1 :] = dists[i + 1 :, i] = np.sqrt(((row - minority_rows[i + 1 :]) ** 2).sum(axis=1))
-    neighbor_idx = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    neighbor_idx = _nearest_neighbors(minority_rows, k)
 
     rng = np.random.default_rng(seed)
-    synthetic = np.empty((n_maj - n_min, m.x.shape[1]), dtype=np.float32)
-    for i in range(len(synthetic)):
+    n = len(m)
+    x = np.empty((n + n_maj - n_min, m.x.shape[1]), dtype=np.float32)
+    x[:n] = m.x
+    for i in range(n, len(x)):
         x_i = int(rng.integers(0, n_min))
         z_i = int(neighbor_idx[x_i, int(rng.integers(0, k))])
         lam = float(rng.random())
-        synthetic[i] = minority_rows[x_i] + lam * (minority_rows[z_i] - minority_rows[x_i])
-    labels = np.full(len(synthetic), minority)
-    ids = [f"synthetic-{i}" for i in range(len(synthetic))]
-    return FeatureMatrix.concatenate([m, FeatureMatrix(synthetic, labels, ids)])
+        x[i] = minority_rows[x_i] + lam * (minority_rows[z_i] - minority_rows[x_i])
+    y = np.concatenate([m.y, np.full(len(x) - n, minority, dtype=np.uint8)])
+    return FeatureMatrix(x, y, m.ids + tuple(f"synthetic-{i}" for i in range(len(x) - n)))
 
 
 def to_arrays(m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -335,6 +335,82 @@ class TestStratifiedSplit:
             stratified_split(_matrix(4, 4), ratio, seed=0)
 
 
+def _row_loop_neighbors(rows, k):
+    """The neighbour search `smote` made before its blocked GEMM pass: every
+    pairwise distance, each row against the rows after it, then a stable
+    argsort of the whole n x n matrix with the diagonal at inf."""
+    n = len(rows)
+    dists = np.full((n, n), np.inf)
+    for i, row in enumerate(rows):
+        dists[i, i + 1 :] = dists[i + 1 :, i] = np.sqrt(((row - rows[i + 1 :]) ** 2).sum(axis=1))
+    return np.argsort(dists, axis=1, kind="stable")[:, :k]
+
+
+def _common_offset_rows():
+    # 128 columns of 1e4, three of them up to two float32 ulps above: the
+    # GEMM form cancels to noise as large as the distances, which tie often.
+    rows = np.full((30, 128), 1e4, dtype=np.float32)
+    rows[:, :3] += np.random.default_rng(0).integers(0, 3, (30, 3)) * np.spacing(np.float32(1e4))
+    return rows, 5, None
+
+
+def _duplicate_and_ulp_rows():
+    # Columns of sizes 1e3 to 1e-3, so the GEMM form rounds; each row twice,
+    # and once one float32 ulp up and once one down in each column.
+    base = (np.random.default_rng(0).normal(size=(3, 4)) * [1e3, 1.0, 1e-2, 1e-3]).astype(np.float32)
+    shifted = []
+    for col in range(4):
+        for to in (np.inf, -np.inf):
+            copy = base.copy()
+            copy[:, col] = np.nextafter(copy[:, col], np.float32(to))
+            shifted.append(copy)
+    return np.concatenate([base, base, *shifted]), 3, None
+
+
+def _one_column_rows():
+    return np.random.default_rng(3).integers(-3, 4, (25, 1)).astype(np.float32), 5, None
+
+
+def _rows_across_small_blocks():
+    # 7-row blocks: 50 rows cross seven block edges.
+    rows = np.random.default_rng(4).integers(0, 3, (50, 3)).astype(np.float32)
+    return rows, 5, 8 * 50 * 7
+
+
+def _rows_across_the_default_block():
+    # 800 rows, of which the default block holds NEIGHBOR_BLOCK_BYTES //
+    # (8 * 800): a block edge falls inside them.
+    return np.random.default_rng(5).integers(0, 50, (800, 1)).astype(np.float32), 5, None
+
+
+def _k_of_all_other_rows():
+    return np.random.default_rng(6).integers(0, 2, (12, 3)).astype(np.float32), 100, None
+
+
+def _non_finite_rows():
+    rows = np.random.default_rng(7).integers(0, 3, (20, 3)).astype(np.float32)
+    rows[[2, 9]] = np.nan
+    rows[4, 0] = rows[11, 0] = np.inf
+    rows[6, 2] = -np.inf
+    rows[13, 1] = np.nan
+    rows[15] = [np.inf, -np.inf, 0.0]
+    return rows, 4, None
+
+
+# Minority rows (float32), the k asked of smote and a NEIGHBOR_BLOCK_BYTES
+# (None for the default): rounding, ties, shapes and block edges where the
+# GEMM pass could pick other neighbours than the exact search.
+_NEIGHBOR_CASES = {
+    "common-offset": _common_offset_rows,
+    "duplicates-and-ulps": _duplicate_and_ulp_rows,
+    "one-column": _one_column_rows,
+    "small-blocks": _rows_across_small_blocks,
+    "default-block": _rows_across_the_default_block,
+    "k-all-others": _k_of_all_other_rows,
+    "non-finite": _non_finite_rows,
+}
+
+
 class TestSmote:
     def test_one_dimensional_convex_bound(self):
         m = FeatureMatrix([[0.0], [1.0], [5.0], [6.0], [7.0], [8.0]], [1, 1, 0, 0, 0, 0], ["-"] * 6)
@@ -428,10 +504,36 @@ class TestSmote:
         balanced = smote(m, k=k, seed=9)
         assert balanced.x[len(m) :].tobytes() == _reference_smote_synthetics(x, np.array(y), k, 9).tobytes()
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(_NEIGHBOR_CASES))
+    def test_neighbors_match_the_row_loop(self, case, monkeypatch):
+        rows, k, block_bytes = _NEIGHBOR_CASES[case]()
+        if block_bytes is not None:
+            monkeypatch.setattr(dataset, "NEIGHBOR_BLOCK_BYTES", block_bytes)
+        wide, kept = rows.astype(np.float64), min(k, len(rows) - 1)
+        assert dataset._nearest_neighbors(wide, kept).tolist() == _row_loop_neighbors(wide, kept).tolist()
+        majority = np.zeros((2 * len(rows), rows.shape[1]), dtype=np.float32)
+        x = np.concatenate([rows, majority])
+        y = np.array([1] * len(rows) + [0] * len(majority))
+        balanced = smote(FeatureMatrix(x, y, ["-"] * len(y)), k=k, seed=5)
+        assert balanced.x[len(y) :].tobytes() == _reference_smote_synthetics(x, y, k, 5).tobytes()
+
+    def test_holds_no_n_by_n_array(self):
+        # One 1,000 x 1,000 float64 array alone would take 8 MB; the search
+        # holds one NEIGHBOR_BLOCK_BYTES block of approximate distances.
+        m = _matrix(1200, 1000, dim=4, seed=5)
+        tracemalloc.start()
+        try:
+            smote(m, k=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 8 // 4
+
     def test_memory_linear_in_the_minority_rows(self):
         # The pairwise difference tensor would take 8 * 100 * 100 * 256 bytes
-        # (20 MB); row by row needs a few copies of the rows plus the
-        # 100 x 100 distance matrix.
+        # (20 MB); the blocked search needs a few copies of the rows plus one
+        # block of at most 100 x 100 approximate distances.
         m = _matrix(120, 100, dim=256, seed=4)
         tracemalloc.start()
         try:
